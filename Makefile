@@ -17,6 +17,11 @@
 #                        -benchtime=100x: fast enough for every check run,
 #                        and it executes the allocation assertions' code
 #                        paths so a Send regression fails loudly here.
+#   make bench-smoke   — vet the benchmark module (benchmark/, its own
+#                        go.mod) and run its tests, which include a 1%
+#                        run of all four workloads against real passd
+#                        nodes (~25 s). Keeps the benchmark compiling
+#                        against the node code it drives.
 #   make docs-check    — fail if an internal/ package lacks a package
 #                        comment or README's experiment table drifts from
 #                        the harness registry (cmd/docscheck).
@@ -33,7 +38,7 @@
 
 GO ?= go
 
-.PHONY: all build test short vet race check bench bench-quick bench-check bench-speedup docs-check
+.PHONY: all build test short vet race check bench bench-quick bench-check bench-smoke bench-speedup docs-check
 
 all: build
 
@@ -74,7 +79,12 @@ race:
 	$(GO) test -race -count=1 ./internal/wire ./internal/node
 	$(GO) test -race -short -count=1 ./internal/harness/cluster
 
-check: vet test race bench-quick bench-check docs-check
+check: vet test race bench-quick bench-check bench-smoke docs-check
+
+# The benchmark is a module of its own, so `go vet ./...` and
+# `go test ./...` at the root do not reach it.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The documentation gate: every internal/ package must have a package
 # comment and README's experiment table must match the harness registry.

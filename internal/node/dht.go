@@ -3,10 +3,10 @@ package node
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
+	"sync"
 
 	"pass/internal/arch"
 	"pass/internal/provenance"
@@ -18,7 +18,7 @@ import (
 // model, so a seeded schedule lands keys on the same logical seats on
 // either backend. Placement is primary + two replicas along the live
 // successor list; liveness is learned by TPing probes during TTick
-// (and only there — see the comment above storeMsg). Queries walk
+// (and only there — see the comment above handleStore). Queries walk
 // the same successor list, so a killed primary's keys stay answerable
 // from whichever replica holder the walk reaches first — the
 // real-process counterpart of the model's Stabilize recovery in E16.
@@ -86,37 +86,18 @@ func (n *Node) liveSuccessors(hash uint64, k int) []int32 {
 // Stabilize probes). A request that fails against a seat simply falls
 // through to the next seat in the walk.
 
-// storeMsg is the TStore payload: a record or an attribute posting,
-// placed as primary or replica. Src keys the replica bucket (the
-// primary seat the copy shadows), matching the model's per-source
-// replica buckets.
-type storeMsg struct {
-	Kind    string        `json:"kind"` // "rec" or "attr"
-	Replica bool          `json:"replica"`
-	Src     int32         `json:"src"`
-	Rec     []byte        `json:"rec,omitempty"`
-	MK      []byte        `json:"mk,omitempty"`
-	ID      provenance.ID `json:"id,omitempty"`
-}
-
-// handleStore accepts one placement: apply, WAL-log, then acknowledge —
-// a placement a peer saw acknowledged survives this node's crash.
+// handleStore accepts one placement list (see placement.go): apply,
+// WAL-log, then acknowledge — a placement a peer saw acknowledged
+// survives this node's crash.
 func (n *Node) handleStore(payload []byte, reply func(wire.Type, []byte)) {
 	if n.cfg.Mode != "dht" {
 		reply(wire.TErr, []byte("store: not a dht node"))
 		return
 	}
-	var msg storeMsg
-	if err := json.Unmarshal(payload, &msg); err != nil {
-		reply(wire.TErr, []byte(err.Error()))
-		return
-	}
-	n.mu.Lock()
-	err := n.applyStoreLocked(msg)
+	ps, err := decodeStore(payload)
 	if err == nil {
-		n.walAppend('s', payload)
+		err = n.storeBatch(ps, payload)
 	}
-	n.mu.Unlock()
 	if err != nil {
 		reply(wire.TErr, []byte(err.Error()))
 		return
@@ -124,36 +105,55 @@ func (n *Node) handleStore(payload []byte, reply func(wire.Type, []byte)) {
 	reply(wire.TStoreOK, nil)
 }
 
+// storeBatch applies a placement list in one n.mu hold and logs it as
+// one 's' record whose body is frame (ps encoded, or the bytes ps was
+// decoded from; nil encodes ps). A list that fails part-way is neither
+// logged nor acknowledged; its applied prefix stays in memory, a
+// superset the recovery contract allows.
+func (n *Node) storeBatch(ps []placement, frame []byte) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, p := range ps {
+		if err := n.applyStoreLocked(p); err != nil {
+			return err
+		}
+	}
+	if frame == nil && n.log != nil {
+		frame = appendStore(nil, ps)
+	}
+	return n.walAppend('s', frame, nil)
+}
+
 // applyStoreLocked is the placement mutation proper — shared by the live
 // TStore verb, WAL replay, and the catch-up pull. Caller holds n.mu (or
 // is in single-threaded recovery).
-func (n *Node) applyStoreLocked(msg storeMsg) error {
-	switch msg.Kind {
-	case "rec":
-		rec, err := provenance.Decode(msg.Rec)
+func (n *Node) applyStoreLocked(p placement) error {
+	switch p.kind {
+	case kindRec:
+		rec, err := provenance.Decode(p.rec)
 		if err != nil {
 			return err
 		}
 		id := rec.ComputeID()
-		if msg.Replica {
-			n.replicaStoreFor(msg.Src).Add(id, rec)
+		if p.replica {
+			n.replicaStoreFor(p.src).Add(id, rec)
 		} else {
 			n.store.Add(id, rec)
 		}
-	case "attr":
-		mk := string(msg.MK)
-		if msg.Replica {
-			bucket := n.replAttrs[msg.Src]
+	case kindAttr:
+		mk := string(p.mk)
+		if p.replica {
+			bucket := n.replAttrs[p.src]
 			if bucket == nil {
 				bucket = make(map[string][]provenance.ID)
-				n.replAttrs[msg.Src] = bucket
+				n.replAttrs[p.src] = bucket
 			}
-			bucket[mk] = append(bucket[mk], msg.ID)
+			bucket[mk] = append(bucket[mk], p.id)
 		} else {
-			n.attrs[mk] = append(n.attrs[mk], msg.ID)
+			n.attrs[mk] = append(n.attrs[mk], p.id)
 		}
 	default:
-		return fmt.Errorf("store: unknown kind %q", msg.Kind)
+		return fmt.Errorf("store: unknown kind %d", p.kind)
 	}
 	return nil
 }
@@ -169,66 +169,107 @@ func (n *Node) replicaStoreFor(src int32) *arch.SiteStore {
 	return rs
 }
 
-// place ships one storeMsg to a seat (or applies it locally when the
-// seat is this node). Returns false on timeout.
-func (n *Node) place(seat int32, msg storeMsg) bool {
-	if seat == n.cfg.ID {
-		b, _ := json.Marshal(msg)
-		ok := true
-		n.handleStore(b, func(t wire.Type, _ []byte) { ok = t == wire.TStoreOK })
-		return ok
+// seatList is the part of one put that lands on one seat.
+type seatList struct {
+	seat int32
+	addr *net.UDPAddr // nil for this node, or an unknown peer
+	ps   []placement
+	ok   bool
+}
+
+// placeAll delivers each seat's list: one TStore frame per remote seat,
+// all in flight at once, while this node's own list applies inline. It
+// returns once every seat has answered or used up sendRetries, with
+// each list's ok set. No lock is held across the sends.
+func (n *Node) placeAll(lists []seatList) {
+	var wg sync.WaitGroup
+	for i := range lists {
+		l := &lists[i]
+		if l.seat == n.cfg.ID || l.addr == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := n.ep.RequestRetry(l.addr, wire.TStore, appendStore(nil, l.ps), sendRetries)
+			l.ok = err == nil
+		}()
 	}
-	n.mu.Lock()
-	addr := n.peers[seat]
-	n.mu.Unlock()
-	if addr == nil {
-		return false
+	for i := range lists {
+		if l := &lists[i]; l.seat == n.cfg.ID {
+			l.ok = n.storeBatch(l.ps, nil) == nil
+		}
 	}
-	b, _ := json.Marshal(msg)
-	if _, err := n.ep.RequestRetry(addr, wire.TStore, b, sendRetries); err != nil {
-		return false
+	wg.Wait()
+}
+
+// seatListsLocked groups one put's placements by seat: the record at its
+// first live successor with replicaFanout copies on the following seats,
+// and each queriable attribute posting likewise at its own hash. The
+// record's primary seat's list comes first; an empty ring yields none.
+// Caller holds n.mu.
+func (n *Node) seatListsLocked(id provenance.ID, rec *provenance.Record, raw []byte) []seatList {
+	var lists []seatList
+	add := func(seat int32, p placement) {
+		for i := range lists {
+			if lists[i].seat == seat {
+				lists[i].ps = append(lists[i].ps, p)
+				return
+			}
+		}
+		lists = append(lists, seatList{seat: seat, addr: n.peers[seat], ps: []placement{p}})
 	}
-	return true
+	recSeats := n.liveSuccessors(ringPosBytes(id[:]), 1+replicaFanout)
+	if len(recSeats) == 0 {
+		return nil
+	}
+	for i, seat := range recSeats {
+		add(seat, placement{kind: kindRec, replica: i > 0, src: recSeats[0], rec: raw})
+	}
+	for _, a := range arch.QueriableAttrs(rec) {
+		mk := []byte(mkOf(a))
+		attrSeats := n.liveSuccessors(ringPosBytes(mk), 1+replicaFanout)
+		for i, seat := range attrSeats {
+			add(seat, placement{kind: kindAttr, replica: i > 0, src: attrSeats[0], mk: mk, id: id})
+		}
+	}
+	return lists
 }
 
 // dhtPut places the record and each of its queriable attribute postings
 // at the first live successor of their hashes, with replicaFanout
-// copies on the following seats. The put acks once the record's primary
+// copies on the following seats: one placement list per seat, the
+// seats served in parallel. The put acks once the record's primary
 // placement lands; replicas and postings are best-effort (the model's
-// charged-but-async replication).
+// charged-but-async replication). A nack does not mean nothing landed:
+// the seats that answered keep their placements, so a failed put may be
+// readable from its replicas and postings (as it always was when only
+// the primary's ack was lost). Every placement is idempotent, so the
+// client's retry is safe.
 func (n *Node) dhtPut(id provenance.ID, rec *provenance.Record, raw []byte, reply func(wire.Type, []byte)) {
 	n.mu.Lock()
-	recSeats := n.liveSuccessors(ringPosBytes(id[:]), 1+replicaFanout)
+	lists := n.seatListsLocked(id, rec, raw)
 	n.mu.Unlock()
-	if len(recSeats) == 0 {
+	if len(lists) == 0 {
 		reply(wire.TErr, []byte("put: empty ring"))
 		return
 	}
-	primary := recSeats[0]
-	if !n.place(primary, storeMsg{Kind: "rec", Src: primary, Rec: raw}) {
+	n.placeAll(lists)
+	if !lists[0].ok {
 		// Primary unreachable: retry placement down the (now shorter)
 		// live list rather than failing the publish.
 		n.mu.Lock()
-		recSeats = n.liveSuccessors(ringPosBytes(id[:]), 1+replicaFanout)
+		recSeats := n.liveSuccessors(ringPosBytes(id[:]), 1)
+		var retry []seatList
+		if len(recSeats) > 0 {
+			retry = []seatList{{seat: recSeats[0], addr: n.peers[recSeats[0]],
+				ps: []placement{{kind: kindRec, src: recSeats[0], rec: raw}}}}
+		}
 		n.mu.Unlock()
-		if len(recSeats) == 0 || !n.place(recSeats[0], storeMsg{Kind: "rec", Src: recSeats[0], Rec: raw}) {
+		n.placeAll(retry)
+		if len(retry) == 0 || !retry[0].ok {
 			reply(wire.TErr, []byte("put: home unreachable"))
 			return
-		}
-		primary = recSeats[0]
-	}
-	for _, seat := range recSeats[1:] {
-		n.place(seat, storeMsg{Kind: "rec", Replica: true, Src: primary, Rec: raw})
-	}
-	for _, a := range arch.QueriableAttrs(rec) {
-		mk := []byte(mkOf(a))
-		n.mu.Lock()
-		attrSeats := n.liveSuccessors(ringPosBytes(mk), 1+replicaFanout)
-		n.mu.Unlock()
-		for i, seat := range attrSeats {
-			n.place(seat, storeMsg{
-				Kind: "attr", Replica: i > 0, Src: attrSeats[0], MK: mk, ID: id,
-			})
 		}
 	}
 	reply(wire.TPutOK, id[:])

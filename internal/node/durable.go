@@ -14,7 +14,9 @@ package node
 //	'p'  own publish: 8-byte LE sequence + encoded provenance record
 //	'd'  applied gossip delta (wireDelta JSON)
 //	'a'  outbox advance: 4-byte LE peer + 8-byte LE acked sequence
-//	's'  applied DHT placement (storeMsg JSON)
+//	's'  applied DHT placement list (placement.go's frame: one per
+//	     TStore frame, per local seat of a put, or per pulled chunk;
+//	     logs written before placement lists hold one JSON object)
 //
 // The recovery contract is replay-on-top-of-snapshot idempotence: a crash
 // between the snapshot rename and the wal.Reset leaves snapshot + full
@@ -63,6 +65,9 @@ import (
 // defaultCompactEvery is the WAL record count that triggers compaction
 // when Config.CompactEvery is zero.
 const defaultCompactEvery = 256
+
+// recoverChunk bounds the placements a catch-up pull logs per WAL record.
+const recoverChunk = 4096
 
 var snapMagic = [8]byte{'P', 'A', 'S', 'S', 'S', 'N', 'P', '1'}
 
@@ -273,11 +278,16 @@ func (n *Node) replayRecord(p []byte) error {
 		n.advanceAckedLocked(pid, binary.LittleEndian.Uint64(body[4:12]))
 		return nil
 	case 's':
-		var msg storeMsg
-		if err := json.Unmarshal(body, &msg); err != nil {
+		ps, err := decodeStore(body)
+		if err != nil {
 			return fmt.Errorf("node: wal store: %w", err)
 		}
-		return n.applyStoreLocked(msg)
+		for _, p := range ps {
+			if err := n.applyStoreLocked(p); err != nil {
+				return fmt.Errorf("node: wal store: %w", err)
+			}
+		}
+		return nil
 	default:
 		return fmt.Errorf("node: unknown wal record tag %q", tag)
 	}
@@ -344,28 +354,42 @@ func (n *Node) rebuildOutboxLocked() {
 	}
 }
 
-// walAppend logs one mutation record. Caller holds n.mu; append-before-
-// ack is the durability contract, so callers append before their reply.
-// Crossing the compaction threshold checkpoints inline (a local disk
-// write, bounded by state size).
-func (n *Node) walAppend(tag byte, body []byte) {
+// walAppend logs one mutation record, then runs apply to make the
+// mutation live. Caller holds n.mu; append-before-ack is the durability
+// contract, so callers append before their reply and nack (TErr) when
+// the append fails — and apply does not run, so nothing the log lacks
+// is sequenced or gossiped. apply is nil for the idempotent mutations
+// (roster, placements) that apply first and leave a superset when the
+// append fails. Crossing the compaction threshold checkpoints inline,
+// after apply so the snapshot holds the mutation whose record the reset
+// drops (a local disk write, bounded by state size); a failed
+// checkpoint is counted but returns nil, because the record itself is
+// already in the log.
+func (n *Node) walAppend(tag byte, body []byte, apply func()) error {
 	if n.log == nil {
-		return
+		if apply != nil {
+			apply()
+		}
+		return nil
 	}
 	rec := make([]byte, 1+len(body))
 	rec[0] = tag
 	copy(rec[1:], body)
 	if err := n.log.Append(rec); err != nil {
 		n.reg.Counter("pass_wal_errors_total").Inc()
-		return
+		return err
 	}
 	n.reg.Counter("pass_wal_appends_total").Inc()
 	n.reg.Counter("pass_wal_bytes_total").Add(int64(1 + len(body)))
+	if apply != nil {
+		apply()
+	}
 	if n.log.Count() >= n.compactEvery() {
 		if err := n.compactLocked(); err != nil {
 			n.reg.Counter("pass_wal_errors_total").Inc()
 		}
 	}
+	return nil
 }
 
 func (n *Node) compactEvery() int64 {
@@ -555,15 +579,16 @@ func (n *Node) catchUpIfDue() {
 			if err != nil {
 				continue
 			}
-			var msgs []storeMsg
-			if err := json.Unmarshal(resp.Payload, &msgs); err != nil {
+			ps, err := decodeStore(resp.Payload)
+			if err != nil {
 				continue
 			}
-			for _, m := range msgs {
-				// Through the verb path so each recovered placement is
-				// WAL-logged — pulled state must survive the NEXT crash.
-				b, _ := json.Marshal(m)
-				n.handleStore(b, func(wire.Type, []byte) {})
+			// Through the batch apply so the pulled placements are
+			// WAL-logged — pulled state must survive the NEXT crash.
+			for len(ps) > 0 {
+				chunk := ps[:min(len(ps), recoverChunk)]
+				_ = n.storeBatch(chunk, nil) // the compaction below snapshots it anyway
+				ps = ps[len(chunk):]
 			}
 			pulled = true
 		}
@@ -615,22 +640,17 @@ func (n *Node) handleRecover(payload []byte, reply func(wire.Type, []byte)) {
 	seat := int32(binary.LittleEndian.Uint32(payload))
 	n.mu.Lock()
 	n.alive[seat] = true
-	msgs := n.placementsForLocked(seat)
+	ps := n.placementsForLocked(seat)
 	n.mu.Unlock()
-	b, err := json.Marshal(msgs)
-	if err != nil {
-		reply(wire.TErr, []byte(err.Error()))
-		return
-	}
-	reply(wire.TRecoverOK, b)
+	reply(wire.TRecoverOK, appendStore(nil, ps))
 }
 
 // placementsForLocked scans every record and attribute posting this node
 // holds (primary and replica buckets alike) and keeps those whose
 // placement walk on the current ring includes the given seat. Caller
 // holds n.mu.
-func (n *Node) placementsForLocked(seat int32) []storeMsg {
-	msgs := []storeMsg{}
+func (n *Node) placementsForLocked(seat int32) []placement {
+	var ps []placement
 	seenRec := make(map[provenance.ID]bool)
 	addRec := func(id provenance.ID, rec *provenance.Record) {
 		if seenRec[id] {
@@ -639,8 +659,8 @@ func (n *Node) placementsForLocked(seat int32) []storeMsg {
 		seenRec[id] = true
 		seats := n.liveSuccessors(ringPosBytes(id[:]), 1+replicaFanout)
 		if pos := seatIndex(seats, seat); pos >= 0 {
-			msgs = append(msgs, storeMsg{
-				Kind: "rec", Replica: pos > 0, Src: seats[0], Rec: rec.Encode(),
+			ps = append(ps, placement{
+				kind: kindRec, replica: pos > 0, src: seats[0], rec: rec.Encode(),
 			})
 		}
 	}
@@ -667,8 +687,8 @@ func (n *Node) placementsForLocked(seat int32) []storeMsg {
 				continue
 			}
 			seenAttr[k] = true
-			msgs = append(msgs, storeMsg{
-				Kind: "attr", Replica: pos > 0, Src: seats[0], MK: []byte(mk), ID: id,
+			ps = append(ps, placement{
+				kind: kindAttr, replica: pos > 0, src: seats[0], mk: []byte(mk), id: id,
 			})
 		}
 	}
@@ -680,7 +700,7 @@ func (n *Node) placementsForLocked(seat int32) []storeMsg {
 			addAttrs(mk, ids)
 		}
 	}
-	return msgs
+	return ps
 }
 
 func seatIndex(seats []int32, seat int32) int {

@@ -86,17 +86,17 @@ type DropRule struct {
 
 // Status is the TStat response.
 type Status struct {
-	ID      int32  `json:"id"`
-	Mode    string `json:"mode"`
-	Records int    `json:"records"`
-	Peers   int    `json:"peers"`
-	Alive   int    `json:"alive"` // dht: peers believed live (incl. self)
-	Seq     uint64 `json:"seq"`   // passnet: own delta sequence
-	MsgsIn  int64  `json:"msgs_in"`
-	MsgsOut int64  `json:"msgs_out"`
-	BytesIn  int64 `json:"bytes_in"`
-	BytesOut int64 `json:"bytes_out"`
-	Dropped int64  `json:"dropped"`
+	ID       int32  `json:"id"`
+	Mode     string `json:"mode"`
+	Records  int    `json:"records"`
+	Peers    int    `json:"peers"`
+	Alive    int    `json:"alive"` // dht: peers believed live (incl. self)
+	Seq      uint64 `json:"seq"`   // passnet: own delta sequence
+	MsgsIn   int64  `json:"msgs_in"`
+	MsgsOut  int64  `json:"msgs_out"`
+	BytesIn  int64  `json:"bytes_in"`
+	BytesOut int64  `json:"bytes_out"`
+	Dropped  int64  `json:"dropped"`
 
 	// Durability (zero-valued without a data dir).
 	Recovered  bool  `json:"recovered,omitempty"`   // boot restored state from disk
@@ -279,13 +279,15 @@ func (n *Node) handlePeers(payload []byte, reply func(wire.Type, []byte)) {
 		return
 	}
 	n.mu.Lock()
-	if err := n.setRosterLocked(roster); err != nil {
-		n.mu.Unlock()
+	err := n.setRosterLocked(roster)
+	if err == nil {
+		err = n.walAppend('r', payload, nil)
+	}
+	n.mu.Unlock()
+	if err != nil {
 		reply(wire.TErr, []byte(err.Error()))
 		return
 	}
-	n.walAppend('r', payload)
-	n.mu.Unlock()
 	reply(wire.TPeersOK, nil)
 }
 
@@ -492,20 +494,27 @@ func (n *Node) handleAttrQ(payload []byte, reply func(wire.Type, []byte)) {
 // and enqueues the delta for every peer — the model's publish path with
 // the gossip deferred to the next TTick.
 func (n *Node) passnetPut(id provenance.ID, rec *provenance.Record, reply func(wire.Type, []byte)) {
-	n.mu.Lock()
-	n.seq++
-	d := n.applyOwnPublishLocked(n.seq, id, rec)
-	for _, pid := range n.order {
-		n.outbox[pid] = append(n.outbox[pid], d)
-	}
 	// Log before the ack: the durability contract is that an acknowledged
-	// publish survives a crash at any later instant.
+	// publish survives a crash at any later instant. Log before the
+	// sequence advances, too: a publish the log lacks must not be
+	// gossiped under a sequence number a restart would reuse.
 	enc := rec.Encode()
 	body := make([]byte, 8+len(enc))
-	binary.LittleEndian.PutUint64(body[:8], n.seq)
+	n.mu.Lock()
+	seq := n.seq + 1
+	binary.LittleEndian.PutUint64(body[:8], seq)
 	copy(body[8:], enc)
-	n.walAppend('p', body)
+	err := n.walAppend('p', body, func() {
+		d := n.applyOwnPublishLocked(seq, id, rec)
+		for _, pid := range n.order {
+			n.outbox[pid] = append(n.outbox[pid], d)
+		}
+	})
 	n.mu.Unlock()
+	if err != nil {
+		reply(wire.TErr, []byte(err.Error()))
+		return
+	}
 	reply(wire.TPutOK, id[:])
 }
 
@@ -544,7 +553,9 @@ func (n *Node) passnetTick(reply func(wire.Type, []byte)) {
 				var body [12]byte
 				binary.LittleEndian.PutUint32(body[:4], uint32(pid))
 				binary.LittleEndian.PutUint64(body[4:12], d.Seq)
-				n.walAppend('a', body[:])
+				// An unlogged advance only re-gossips d after a restart,
+				// which the peer's sequence check absorbs.
+				_ = n.walAppend('a', body[:], nil)
 			}
 			n.mu.Unlock()
 		}
@@ -575,10 +586,13 @@ func (n *Node) handleDelta(payload []byte, reply func(wire.Type, []byte)) {
 	}
 	d := siteview.NewDelta(netsim.SiteID(wd.Origin), wd.Seq, ids, wd.Attrs)
 	n.mu.Lock()
-	applied := n.view.Apply(d)
 	seen := n.view.Seq(d.Origin)
+	applied := wd.Seq == seen+1
+	var err error
 	if applied {
-		n.walAppend('d', payload)
+		// Log before the view moves: a nacked delta is retransmitted, and
+		// must then still be next in sequence rather than acked as seen.
+		err = n.walAppend('d', payload, func() { n.view.Apply(d) })
 	} else if wd.Seq > seen && n.log != nil {
 		// A gap on a durable node means its view regressed past what this
 		// peer still retains (a wiped restart whose catch-up pull missed
@@ -587,6 +601,10 @@ func (n *Node) handleDelta(payload []byte, reply func(wire.Type, []byte)) {
 		n.catchup = true
 	}
 	n.mu.Unlock()
+	if err != nil {
+		reply(wire.TErr, []byte(err.Error()))
+		return
+	}
 	if applied || wd.Seq <= seen {
 		reply(wire.TDeltaAck, nil)
 		return

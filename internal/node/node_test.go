@@ -39,7 +39,7 @@ func bootCluster(t *testing.T, mode string, n int) ([]*Node, *Client) {
 	return nodes, c
 }
 
-func testRecord(t *testing.T, seq int, domain string) *provenance.Record {
+func testRecord(t testing.TB, seq int, domain string) *provenance.Record {
 	t.Helper()
 	var digest [32]byte
 	digest[0], digest[1] = byte(seq), byte(seq>>8)

@@ -60,6 +60,7 @@ type Log struct {
 	count  int64 // records in the log
 	closed bool
 	sync   bool
+	broken error // set when a torn append could not be rolled back
 }
 
 // Options configures Open.
@@ -161,6 +162,9 @@ func (l *Log) Append(payload []byte) error {
 	if l.closed {
 		return ErrClosed
 	}
+	if l.broken != nil {
+		return l.broken
+	}
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
@@ -174,8 +178,15 @@ func (l *Log) Append(payload []byte) error {
 	buf = append(buf, payload...)
 	n, err := l.f.Write(buf)
 	if err != nil {
-		// A partial write leaves a torn record that recovery will trim.
-		l.size += int64(n)
+		// A partial write leaves a torn record, and recovery stops at the
+		// first torn record: anything appended after it would be lost.
+		// Cut the torn bytes off; if that fails too, refuse appends until
+		// Reset rewrites the log.
+		if n > 0 {
+			if terr := l.rollback(); terr != nil {
+				l.broken = fmt.Errorf("wal: torn record not rolled back: %w", terr)
+			}
+		}
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.size += int64(n)
@@ -186,6 +197,15 @@ func (l *Log) Append(payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// rollback truncates the file back to the end of the last whole record.
+func (l *Log) rollback() error {
+	if err := l.f.Truncate(l.size); err != nil {
+		return err
+	}
+	_, err := l.f.Seek(l.size, io.SeekStart)
+	return err
 }
 
 // Reset truncates the log back to an empty (header-only) state and
@@ -209,6 +229,7 @@ func (l *Log) Reset() error {
 	}
 	l.size = headerSize
 	l.count = 0
+	l.broken = nil
 	return nil
 }
 

@@ -83,7 +83,7 @@ const (
 	TFetchOK  Type = 19 // payload: encoded record
 	TAttrQ    Type = 20 // payload: attr key \x00 canonical value (local answer only)
 	TAttrQOK  Type = 21 // payload: concatenated record IDs
-	TStore    Type = 22 // payload: role byte, source node ID, encoded record
+	TStore    Type = 22 // payload: dht placement list (node.decodeStore), or one legacy JSON placement
 	TStoreOK  Type = 23
 	TPing     Type = 24
 	TPong     Type = 25
@@ -92,7 +92,7 @@ const (
 	// UDP ceiling and ride the stream framing automatically).
 	TSnap      Type = 26 // payload: none; response: encoded siteview.View
 	TSnapOK    Type = 27
-	TRecover   Type = 28 // payload: 4-byte seat ID; response: JSON placements
+	TRecover   Type = 28 // payload: 4-byte seat ID; response: dht placement list
 	TRecoverOK Type = 29
 
 	// Control plane (the cluster harness drives these).
