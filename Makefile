@@ -9,9 +9,7 @@
 #   make bench         — regenerate the experiment tables (E1–E18) and
 #                        write BENCH.json for comparison against the
 #                        committed BENCH_3.json baseline. BENCH.json is
-#                        scratch output (gitignored); the committed
-#                        baselines are BENCH_3.json (perf gate) and
-#                        BENCH_2.json (pre-fast-path, for bench-speedup).
+#                        scratch output (gitignored).
 #   make bench-quick   — the hot-path microbenchmarks (netsim Send,
 #                        passnet Tick, siteview Apply, dht Lookup) at
 #                        -benchtime=100x: fast enough for every check run,
@@ -23,22 +21,17 @@
 #                        nodes (~25 s). Keeps the benchmark compiling
 #                        against the node code it drives.
 #   make docs-check    — fail if an internal/ package lacks a package
-#                        comment or README's experiment table drifts from
-#                        the harness registry (cmd/docscheck).
+#                        comment, README's experiment table drifts from
+#                        the harness registry, or README/ARCHITECTURE
+#                        name a make target or package path that does
+#                        not exist (cmd/docscheck).
 #   make bench-check   — run the suite at the baseline's scale and fail on
 #                        runtime regressions or broken recall invariants
 #                        (cmd/benchcheck).
-#   make bench-speedup — prove the fast-path win: run the suite fresh and
-#                        require >= 2x whole-suite speedup against
-#                        BENCH_2.json, the last baseline recorded before
-#                        the netsim fast path + parallel harness. Not part
-#                        of check (it compares across baseline
-#                        generations, so it is only meaningful on hardware
-#                        comparable to the recording machine).
 
 GO ?= go
 
-.PHONY: all build test short vet race check bench bench-quick bench-check bench-smoke bench-speedup docs-check
+.PHONY: all build test short vet race check bench bench-quick bench-check bench-smoke docs-check
 
 all: build
 
@@ -54,30 +47,19 @@ short:
 vet:
 	$(GO) vet ./...
 
-# The storage engine and provenance core get the full -race treatment;
-# the architecture models and the experiment harness are mutex-bearing
-# too (every model serializes state behind its lock), so they run under
-# -race as well — at -short scale, because the 1,000-site conformance
-# sweeps under the race detector's ~10x slowdown would dominate the gate
-# without widening its coverage. netsim joins the net with its sharded
-# atomic accounting, and the harness run covers the parallel cell runner:
-# the serial-vs-parallel equivalence tests execute both paths. The ops
-# surface is concurrent by design — the metrics registry and trace ring
-# are scraped while soaks write to them — so metrics, trace, and obs run
-# under -race too (obs at -short: its soaks replay full fault schedules),
-# and ratelimit joins them: admission controllers take concurrent Offer
-# calls by contract.
-# The real-socket layer joins the net: wire endpoints multiplex inflight
-# requests across goroutines and node handlers run concurrently, so wire
-# and node race in full; the multi-process cluster harness races at
-# -short (clean cross-check only — the lossy and churn schedules run in
-# the CI integration job and the plain test target).
+# Every package runs under -race at -short scale: the 1,000-site
+# conformance sweeps under the race detector's ~10x slowdown would
+# dominate the gate without widening its coverage. The packages whose
+# concurrency is the point — the storage engine and provenance core,
+# netsim's sharded accounting, the metrics registry and trace ring
+# scraped while soaks write them, admission controllers taking
+# concurrent Offer calls, wire endpoints multiplexing inflight requests,
+# and node handlers — also run at full scale, as does the parallel cell
+# runner's serial-vs-parallel equivalence in the harness.
 race:
-	$(GO) test -race -count=1 ./internal/core ./internal/kvstore ./internal/netsim ./internal/metrics ./internal/trace ./internal/ratelimit
-	$(GO) test -race -short -count=1 ./internal/arch/... ./internal/harness ./internal/obs
+	$(GO) test -race -short -count=1 ./...
+	$(GO) test -race -count=1 ./internal/core ./internal/kvstore ./internal/netsim ./internal/metrics ./internal/trace ./internal/ratelimit ./internal/wire ./internal/node
 	$(GO) test -race -count=1 -run 'TestSerialParallelEquivalence|TestRunCells' ./internal/harness
-	$(GO) test -race -count=1 ./internal/wire ./internal/node
-	$(GO) test -race -short -count=1 ./internal/harness/cluster
 
 check: vet test race bench-quick bench-check bench-smoke docs-check
 
@@ -87,7 +69,9 @@ bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The documentation gate: every internal/ package must have a package
-# comment and README's experiment table must match the harness registry.
+# comment, README's experiment table must match the harness registry, and
+# the make targets and package paths README and ARCHITECTURE name must
+# exist.
 docs-check:
 	$(GO) run ./cmd/docscheck
 
@@ -113,9 +97,3 @@ bench-quick:
 bench-check:
 	$(GO) run ./cmd/passbench -scale 0.5 -json BENCH.json >/dev/null
 	$(GO) run ./cmd/benchcheck -baseline BENCH_3.json -current BENCH.json
-
-# The fast-path acceptance check: whole-suite wall-clock must beat the
-# pre-optimization BENCH_2.json recording by >= 2x.
-bench-speedup:
-	$(GO) run ./cmd/passbench -scale 0.5 -json BENCH.json >/dev/null
-	$(GO) run ./cmd/benchcheck -baseline BENCH_2.json -current BENCH.json -min-speedup 2

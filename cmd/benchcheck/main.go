@@ -1,10 +1,10 @@
 // Command benchcheck compares a fresh passbench -json report against the
 // committed baseline (BENCH_3.json) and fails on regressions, giving the
-// repo a perf trajectory that CI can enforce (ROADMAP item).
+// repo a perf trajectory that CI can enforce.
 //
 // Usage:
 //
-//	benchcheck -baseline BENCH_3.json -current BENCH.json [-max-ratio 2.5] [-slack-ms 300] [-min-speedup 0]
+//	benchcheck -baseline BENCH_3.json -current BENCH.json [-max-ratio 2.5] [-slack-ms 300]
 //
 // Checks, in order of severity:
 //
@@ -27,12 +27,6 @@
 //     every recall_* finding is a fraction in [0, 1], and every
 //     recall_*_l0 (pristine-network survivability row) is exactly 1.
 //     These hold on any hardware at any scale.
-//   - Speedup (opt-in, -min-speedup > 0): the whole-suite wall clock must
-//     be at least the given factor FASTER than the baseline. This is how
-//     a perf PR proves its win against the previous baseline generation
-//     (`make bench-speedup` compares against BENCH_2.json, the last
-//     pre-fast-path recording); it stays out of `make check` because it
-//     compares across hardware generations.
 package main
 
 import (
@@ -74,7 +68,6 @@ func main() {
 	currentPath := flag.String("current", "BENCH.json", "fresh passbench -json report")
 	maxRatio := flag.Float64("max-ratio", 2.5, "fail when current millis exceed baseline*ratio+slack")
 	slackMs := flag.Int64("slack-ms", 300, "absolute slack added to every runtime budget")
-	minSpeedup := flag.Float64("min-speedup", 0, "when > 0, fail unless the whole suite runs at least this many times faster than the baseline")
 	flag.Parse()
 
 	base, err := load(*baselinePath)
@@ -137,30 +130,6 @@ func main() {
 	}
 	for id := range curByID {
 		fmt.Printf("%-4s new experiment (no baseline yet)\n", id)
-	}
-
-	if *minSpeedup > 0 {
-		// Sum only experiments present in both reports: a registry that
-		// has since grown (or shrunk) must not skew the ratio.
-		byID := make(map[string]int64, len(cur.Results))
-		for _, c := range cur.Results {
-			byID[c.ID] = c.Millis
-		}
-		var baseTotal, curTotal int64
-		for _, b := range base.Results {
-			if c, ok := byID[b.ID]; ok {
-				baseTotal += b.Millis
-				curTotal += c
-			}
-		}
-		speedup := float64(baseTotal) / float64(max(curTotal, 1))
-		fmt.Printf("\nsuite wall-clock: %dms vs baseline %dms — %.2fx speedup (want >= %.2fx)\n",
-			curTotal, baseTotal, speedup, *minSpeedup)
-		if speedup < *minSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"suite speedup %.2fx below required %.2fx (current %dms, baseline %dms)",
-				speedup, *minSpeedup, curTotal, baseTotal))
-		}
 	}
 
 	for _, r := range cur.Results {

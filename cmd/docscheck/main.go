@@ -9,6 +9,11 @@
 //     harness registry exposes — every registered ID appears as a table
 //     row, and no table row names an unregistered ID. The registry is
 //     imported directly (not parsed), so the check cannot itself drift.
+//   - README.md and ARCHITECTURE.md name only things that exist: every
+//     `make <target>` they mention is defined in the Makefile, and every
+//     internal/..., cmd/... or examples/... path in backticks or a code
+//     block is in the tree (templated paths holding <, { or * are
+//     skipped).
 //
 // Usage:
 //
@@ -37,6 +42,7 @@ func main() {
 	var failures []string
 	failures = append(failures, checkPackageComments(*root)...)
 	failures = append(failures, checkReadmeTable(*root)...)
+	failures = append(failures, checkDocRefs(*root)...)
 
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s):\n", len(failures))
@@ -45,7 +51,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package comments present, README experiment table matches the registry")
+	fmt.Println("docscheck: package comments present, README experiment table matches the registry, doc references resolve")
 }
 
 // checkPackageComments walks internal/ and cmd/ and requires each
@@ -123,4 +129,89 @@ func checkReadmeTable(root string) []string {
 		}
 	}
 	return failures
+}
+
+var (
+	// makeRule is a Makefile rule line: "target [target...]: prereqs".
+	makeRule = regexp.MustCompile(`^([A-Za-z0-9][\w. -]*?)\s*:([^=]|$)`)
+	// codeSpan is one inline code span.
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	// makeCmd is a make invocation at the start of a span or code line.
+	makeCmd = regexp.MustCompile(`^\s*make\s+([a-z][\w-]*)`)
+	// repoPath is a repository path under one of the checked trees.
+	repoPath = regexp.MustCompile(`(?:^|[\s/.(])((?:internal|cmd|examples)/[^\s'"(),;]*)`)
+)
+
+// docsWithRefs are the documents whose make targets and paths must resolve.
+var docsWithRefs = []string{"README.md", "ARCHITECTURE.md"}
+
+// checkDocRefs fails every make target and repository path that
+// README.md or ARCHITECTURE.md names but the tree does not have, so a
+// deleted target or package cannot linger in the docs.
+func checkDocRefs(root string) []string {
+	targets, err := makeTargets(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var failures []string
+	for _, doc := range docsWithRefs {
+		buf, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			failures = append(failures, err.Error())
+			continue
+		}
+		for _, code := range codeFragments(string(buf)) {
+			if m := makeCmd.FindStringSubmatch(code); m != nil && !targets[m[1]] {
+				failures = append(failures, fmt.Sprintf("%s mentions `make %s`, which the Makefile does not define", doc, m[1]))
+			}
+			for _, m := range repoPath.FindAllStringSubmatch(code, -1) {
+				path := strings.TrimRight(m[1], ".:/`")
+				if strings.ContainsAny(path, "<{*") {
+					continue
+				}
+				if _, err := os.Stat(filepath.Join(root, path)); err != nil {
+					failures = append(failures, fmt.Sprintf("%s names %s, which does not exist", doc, path))
+				}
+			}
+		}
+	}
+	return failures
+}
+
+// codeFragments returns a markdown document's code: every line of a
+// fenced block and every inline code span outside one.
+func codeFragments(doc string) []string {
+	var out []string
+	fenced := false
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			out = append(out, line)
+			continue
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
+			out = append(out, m[1])
+		}
+	}
+	return out
+}
+
+// makeTargets returns the targets the Makefile's rule lines define.
+func makeTargets(path string) (map[string]bool, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	targets := map[string]bool{}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if m := makeRule.FindStringSubmatch(line); m != nil {
+			for _, t := range strings.Fields(m[1]) {
+				targets[t] = true
+			}
+		}
+	}
+	return targets, nil
 }

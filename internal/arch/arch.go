@@ -38,24 +38,17 @@ func (p Pub) WireSize() int { return len(p.Rec.Encode()) }
 
 // Network is the send/deliver surface every architecture model runs
 // over: the subset of the simulator's API a model actually touches on
-// its message paths. Two backends implement it today —
-//
-//   - *netsim.Network, the deterministic in-process simulator every
-//     experiment and conformance law drives; and
-//   - wire.Transport, the real-socket backend, where Send marshals a
-//     versioned envelope onto a UDP socket and the returned latency is
-//     measured wall-clock rather than simulated.
-//
-// Model constructors take this interface, so the SAME build function
-// (e.g. func(net arch.Network, sites []netsim.SiteID) arch.Model) runs
-// unchanged against either backend; the wire package's conformance
-// bridge and the multi-process cluster harness rely on exactly that.
+// its message paths. One backend implements it: *netsim.Network, the
+// deterministic in-process simulator every experiment and conformance
+// law drives. Model constructors take the interface rather than the
+// concrete simulator, so a second backend can be slotted in without
+// touching the models.
 //
 // Contract notes carried over from netsim: Send/Call return the
 // injected-fault sentinels netsim exports (ErrSiteDown, ErrMsgLost,
 // ErrPartitioned — IsUnavailable matches all three) so model retry
-// logic is backend-independent; Send returns the one-way delivery
-// latency (simulated or measured); Latency estimates without sending.
+// logic does not depend on the backend; Send returns the one-way
+// delivery latency; Latency estimates without sending.
 type Network interface {
 	// Send delivers a one-way message of the given size and returns its
 	// delivery latency.

@@ -3,12 +3,12 @@ package harness
 import (
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"pass/internal/core"
 	"pass/internal/index"
 	"pass/internal/metrics"
-	"pass/internal/naming"
 	"pass/internal/provenance"
 	"pass/internal/query"
 	"pass/internal/tuple"
@@ -131,6 +131,98 @@ func (r *Runner) E1Granularity() (*Result, error) {
 	}, nil
 }
 
+// Conventional filenames (§II-A) are the strawman E2 measures, fixed to
+// the paper's example "volcano_vesuvius_10_11_04": the first value of
+// each of nameFields, most significant first, then the record's window
+// start at day resolution, joined by nameSep. A field the record lacks
+// renders as nameMissing. Everything else about the record is dropped.
+var nameFields = []string{provenance.KeyDomain, provenance.KeyZone, provenance.KeySensorClass}
+
+const (
+	nameTimeLayout = "06_01_02"
+	nameSep        = "_"
+	nameMissing    = "x"
+)
+
+// nameTimeParts is how many separator-split components the time takes.
+var nameTimeParts = len(strings.Split(nameTimeLayout, nameSep))
+
+// sanitizeName keeps a component from colliding with the separator.
+func sanitizeName(s string) string { return strings.ReplaceAll(s, nameSep, "-") }
+
+// encodeName renders the record's conventional filename. A missing time
+// is one marker per time component, so every name has the same shape.
+func encodeName(rec *provenance.Record) string {
+	parts := make([]string, 0, len(nameFields)+nameTimeParts)
+	for _, f := range nameFields {
+		if v, ok := rec.Get(f); ok {
+			parts = append(parts, sanitizeName(v.AsString()))
+		} else {
+			parts = append(parts, nameMissing)
+		}
+	}
+	if start, _, ok := rec.TimeRange(); ok {
+		parts = append(parts, time.Unix(0, start).UTC().Format(nameTimeLayout))
+	} else {
+		for range nameTimeParts {
+			parts = append(parts, nameMissing)
+		}
+	}
+	return strings.Join(parts, nameSep)
+}
+
+// parsedName is what a filename gives back: string-flattened field
+// values and, when present, the day-resolution window start.
+type parsedName struct {
+	fields  map[string]string
+	start   time.Time
+	hasTime bool
+}
+
+// parseName recovers the fields of a conventional filename; ok is false
+// when the name does not have the convention's shape.
+func parseName(name string) (p parsedName, ok bool) {
+	parts := strings.Split(name, nameSep)
+	if len(parts) != len(nameFields)+nameTimeParts {
+		return parsedName{}, false
+	}
+	p.fields = make(map[string]string, len(nameFields))
+	for i, f := range nameFields {
+		if parts[i] != nameMissing {
+			p.fields[f] = parts[i]
+		}
+	}
+	// Missing markers do not parse as a date, so they leave hasTime false.
+	if t, err := time.Parse(nameTimeLayout, strings.Join(parts[len(nameFields):], nameSep)); err == nil {
+		p.start, p.hasTime = t, true
+	}
+	return p, true
+}
+
+// nameCanExpress reports whether a query on key can be answered from
+// filenames at all: "additional important information about the data
+// may not be readily expressible in the filename".
+func nameCanExpress(key string) bool {
+	for _, f := range nameFields {
+		if f == key {
+			return true
+		}
+	}
+	return key == provenance.KeyStart
+}
+
+// matchName answers an attribute-equality query from a filename alone.
+// Inexpressible keys never match (recall loss); flattened values can
+// collide across types (precision loss).
+func matchName(name, key, value string) bool {
+	p, ok := parseName(name)
+	if !ok {
+		return false
+	}
+	got, ok := p.fields[key]
+	return ok && got == sanitizeName(value)
+}
+
 // E2Naming — §II-A's eight objections to conventional filenames. The same
 // corpus is named both ways; six query classes are answered from (a)
 // filenames alone and (b) the provenance index, and scored for
@@ -168,7 +260,6 @@ func (r *Runner) E2Naming() (*Result, error) {
 	}
 
 	// Conventional filenames for the same records.
-	conv := naming.Default()
 	names := make([]string, len(sets))
 	records := make([]*provenance.Record, len(sets))
 	for i, id := range ids {
@@ -177,7 +268,7 @@ func (r *Runner) E2Naming() (*Result, error) {
 			return nil, err
 		}
 		records[i] = rec
-		names[i] = conv.Encode(rec)
+		names[i] = encodeName(rec)
 	}
 
 	// Query classes: (description, attr key, attr value, PASS predicate).
@@ -209,7 +300,7 @@ func (r *Runner) E2Naming() (*Result, error) {
 		// Filename answer.
 		var fileGot []provenance.ID
 		for i, name := range names {
-			if conv.MatchName(name, c.key, c.value.AsString()) {
+			if matchName(name, c.key, c.value.AsString()) {
 				fileGot = append(fileGot, ids[i])
 			}
 		}
@@ -220,7 +311,7 @@ func (r *Runner) E2Naming() (*Result, error) {
 			return nil, err
 		}
 		passQ := query.Score(passGot, truth)
-		expressible := conv.CanExpress(c.key)
+		expressible := nameCanExpress(c.key)
 		table.AddRow(c.name, expressible, fileQ.Precision, fileQ.Recall, passQ.Precision, passQ.Recall)
 		findings["file_recall_"+c.key] = fileQ.Recall
 		findings["pass_recall_"+c.key] = passQ.Recall

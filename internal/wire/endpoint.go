@@ -36,10 +36,9 @@ type dropRule struct {
 }
 
 // Endpoint is one UDP wire endpoint: a socket, a read loop, and the
-// inflight-waiter map that matches responses to requests by MsgID. It is
-// the building block for both the in-process Transport (one endpoint per
-// simulated site) and a passd node process (one endpoint per node, plus
-// one in the harness acting as the client).
+// inflight-waiter map that matches responses to requests by MsgID. A
+// passd node process owns one; the cluster harness and the benchmark
+// own one each to act as the client.
 type Endpoint struct {
 	id   int32
 	conn *net.UDPConn
@@ -216,9 +215,9 @@ func (ep *Endpoint) readLoop() {
 	}
 }
 
-// shouldDrop applies ingress drop rules. A FlagLost data frame is always
-// discarded — the sending transport poisoned it to simulate in-network
-// loss — and per-peer rules are consulted for everything else.
+// shouldDrop applies ingress drop rules. A FlagLost frame is always
+// discarded — its sender poisoned it to simulate in-network loss — and
+// per-peer rules are consulted for everything else.
 func (ep *Endpoint) shouldDrop(env Envelope) bool {
 	if env.Flags&FlagLost != 0 {
 		return true
@@ -242,13 +241,6 @@ func (ep *Endpoint) send(env Envelope, to *net.UDPAddr) error {
 	ep.msgsOut.Add(1)
 	ep.bytesOut.Add(int64(n))
 	return nil
-}
-
-// Send transmits a fire-and-forget envelope of the given type.
-func (ep *Endpoint) Send(to *net.UDPAddr, t Type, flags uint8, size uint32, payload []byte) (uint64, error) {
-	id := ep.nextMsgID.Add(1)
-	env := Envelope{Ver: Version, Type: t, Flags: flags, From: ep.id, MsgID: id, Size: size, Payload: payload}
-	return id, ep.send(env, to)
 }
 
 // Request sends one request envelope and waits for its response (matched

@@ -1,15 +1,13 @@
 // Package wire is the real-socket layer of the repository: a versioned
-// message envelope, a UDP endpoint built around an inflight-waiter map
+// message envelope and a UDP endpoint built around an inflight-waiter map
 // (requests matched to responses by MsgID, a non-blocking read loop
-// dispatching everything else to a handler), and a Transport that
-// implements the same send/deliver surface the netsim simulator provides
-// (arch.Network) — so the same arch.Model build function runs unchanged
-// against either backend, with bytes actually crossing sockets instead
-// of being accounted in memory.
+// dispatching everything else to a handler), with a TCP stream framing
+// on the same port for payloads past the datagram ceiling. passd nodes
+// and the cluster harness speak it; the cost models run on netsim.
 //
 // The envelope is deliberately minimal: version, message type, flags,
-// sender ID, a monotonically increasing per-endpoint MsgID, a declared
-// logical size, and an opaque payload. Verb semantics (put/get/query,
+// sender ID, a monotonically increasing per-endpoint MsgID, the payload
+// size, and an opaque payload. Verb semantics (put/get/query,
 // digest deltas, control-plane drops) live in the node package; the
 // cluster harness speaks the same envelopes as a client.
 //
@@ -43,12 +41,6 @@ const HeaderSize = 19
 // staying under typical OS defaults keeps the transport honest).
 const MaxDatagram = 60000
 
-// MaxPayload is the largest real payload one envelope carries. A message
-// whose DECLARED size exceeds it is transmitted with a truncated padding
-// payload but keeps its declared Size, so byte accounting stays faithful
-// to the logical message while the datagram stays sendable.
-const MaxPayload = MaxDatagram - HeaderSize
-
 // MaxStreamPayload bounds one stream-framed (TCP) request or response
 // payload — the fallback for verbs whose payloads exceed the datagram
 // ceiling (view snapshots, recovery bucket transfers). Bounded so a
@@ -60,14 +52,8 @@ const MaxStreamPayload = 64 << 20
 // request's MsgID so the sender's inflight-waiter map can match it.
 type Type uint8
 
-// Transport-internal and node-verb message types.
+// Node-verb message types. Values 1 and 2 are unassigned.
 const (
-	// TData / TAck are the Transport's raw data plane: TData carries a
-	// padded payload of the model's declared message size, TAck confirms
-	// delivery back to the sending endpoint.
-	TData Type = 1
-	TAck  Type = 2
-
 	// Client verbs served by a passd node.
 	TPut     Type = 10 // payload: encoded provenance record
 	TPutOK   Type = 11 // payload: record ID
@@ -115,10 +101,11 @@ const (
 	// MsgID; the read loop routes it to the inflight waiter instead of
 	// the handler.
 	FlagResponse uint8 = 1 << 0
-	// FlagLost marks a TData datagram the sending Transport's loss rule
-	// poisoned: the bytes cross the socket (the bandwidth was spent) but
-	// the receiving endpoint discards it unacknowledged, so the sender
-	// observes exactly what in-network loss looks like.
+	// FlagLost marks a poisoned frame: the bytes cross the socket (the
+	// bandwidth was spent) but the receiving endpoint discards it
+	// unacknowledged, so the sender observes exactly what in-network
+	// loss looks like. No sender in the tree sets it today; the receive
+	// side's discard is the hook for a loss-injecting sender.
 	FlagLost uint8 = 1 << 1
 )
 
@@ -129,10 +116,7 @@ type Envelope struct {
 	Flags uint8
 	From  int32 // sender's site/node ID (clients use IDs past the node range)
 	MsgID uint64
-	// Size is the DECLARED logical payload size. For verb messages it
-	// equals len(Payload); for Transport data planes it is the model's
-	// accounted message size, of which only min(Size, MaxPayload) bytes
-	// of padding are physically carried.
+	// Size is the declared payload size; senders set it to len(Payload).
 	Size    uint32
 	Payload []byte
 }

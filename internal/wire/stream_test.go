@@ -9,7 +9,7 @@ import (
 )
 
 // bootEcho binds an endpoint whose handler echoes the request payload
-// back as TAck — over whichever framing the request arrived on.
+// back as TPong — over whichever framing the request arrived on.
 func bootEcho(t *testing.T, id int32) *Endpoint {
 	t.Helper()
 	ep, err := NewEndpoint(id, "127.0.0.1:0")
@@ -18,7 +18,7 @@ func bootEcho(t *testing.T, id int32) *Endpoint {
 	}
 	t.Cleanup(func() { ep.Close() })
 	ep.Handle(func(env Envelope, _ *net.UDPAddr, reply func(Type, []byte)) {
-		reply(TAck, env.Payload)
+		reply(TPong, env.Payload)
 	})
 	return ep
 }
@@ -31,7 +31,7 @@ func TestStreamCarriesOversizeRequest(t *testing.T) {
 	cli := bootEcho(t, 2)
 	payload := bytes.Repeat([]byte{0xAB}, MaxDatagram+5000)
 	payload[0], payload[len(payload)-1] = 1, 2
-	resp, err := cli.RequestTimeout(srv.Addr(), TData, payload, 2*time.Second)
+	resp, err := cli.RequestTimeout(srv.Addr(), TPing, payload, 2*time.Second)
 	if err != nil {
 		t.Fatalf("oversize request: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestStreamRespectsDropRules(t *testing.T) {
 	srv.SetDrop(8, 1.0, 99)
 	cli.Timeout = 200 * time.Millisecond
 	payload := bytes.Repeat([]byte{1}, MaxDatagram+1)
-	_, err := cli.RequestTimeout(srv.Addr(), TData, payload, 200*time.Millisecond)
+	_, err := cli.RequestTimeout(srv.Addr(), TPing, payload, 200*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("dropped stream frame returned %v, want ErrTimeout", err)
 	}
@@ -96,7 +96,7 @@ func TestStreamRespectsDropRules(t *testing.T) {
 	}
 	// Clearing the rule heals the path.
 	srv.SetDrop(8, 0, 0)
-	if _, err := cli.RequestTimeout(srv.Addr(), TData, payload, 2*time.Second); err != nil {
+	if _, err := cli.RequestTimeout(srv.Addr(), TPing, payload, 2*time.Second); err != nil {
 		t.Fatalf("healed stream path: %v", err)
 	}
 }
