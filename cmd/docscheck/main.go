@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate (make docs-check, part of
-// make check). It enforces two invariants that otherwise rot silently:
+// make check). It enforces invariants that otherwise rot silently:
 //
 //   - Every package under internal/ and cmd/ carries a package comment,
 //     so `go doc pass/internal/<pkg>` always explains what the package is
@@ -14,6 +14,8 @@
 //     internal/..., cmd/... or examples/... path in backticks or a code
 //     block is in the tree (templated paths holding <, { or * are
 //     skipped).
+//   - Every directory under examples/ has a _test.go file, so no example
+//     exists that no gate runs.
 //
 // Usage:
 //
@@ -43,6 +45,7 @@ func main() {
 	failures = append(failures, checkPackageComments(*root)...)
 	failures = append(failures, checkReadmeTable(*root)...)
 	failures = append(failures, checkDocRefs(*root)...)
+	failures = append(failures, checkExamplesTested(*root)...)
 
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s):\n", len(failures))
@@ -51,7 +54,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package comments present, README experiment table matches the registry, doc references resolve")
+	fmt.Println("docscheck: package comments present, README experiment table matches the registry, doc references resolve, every example has a test")
 }
 
 // checkPackageComments walks internal/ and cmd/ and requires each
@@ -93,6 +96,29 @@ func checkPackageComments(root string) []string {
 	for dir := range seen {
 		if !documented[dir] {
 			failures = append(failures, fmt.Sprintf("package %s has no package comment (go doc is blank)", dir))
+		}
+	}
+	return failures
+}
+
+// checkExamplesTested requires a _test.go file in every directory under
+// examples/.
+func checkExamplesTested(root string) []string {
+	dirs, err := os.ReadDir(filepath.Join(root, "examples"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var failures []string
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		tests, err := filepath.Glob(filepath.Join(root, "examples", d.Name(), "*_test.go"))
+		if err != nil {
+			return []string{err.Error()}
+		}
+		if len(tests) == 0 {
+			failures = append(failures, fmt.Sprintf("examples/%s has no _test.go file, so no gate runs it", d.Name()))
 		}
 	}
 	return failures

@@ -49,3 +49,31 @@ func TestCheckDocRefsRealTree(t *testing.T) {
 		t.Fatalf("doc references do not resolve:\n%s", strings.Join(f, "\n"))
 	}
 }
+
+// TestCheckExamplesTested: an example directory without a _test.go file
+// fails; once it has one, and in the repository itself, nothing does.
+func TestCheckExamplesTested(t *testing.T) {
+	root := t.TempDir()
+	for _, name := range []string{"examples/tested/main.go", "examples/tested/main_test.go", "examples/untested/main.go"} {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("package main\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := checkExamplesTested(root)
+	if len(f) != 1 || !strings.Contains(f[0], "examples/untested") {
+		t.Fatalf("want one failure naming examples/untested, got %v", f)
+	}
+	if err := os.WriteFile(filepath.Join(root, "examples/untested/main_test.go"), []byte("package main\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if f := checkExamplesTested(root); len(f) != 0 {
+		t.Fatalf("tested examples reported %v", f)
+	}
+	if f := checkExamplesTested(filepath.Join("..", "..")); len(f) != 0 {
+		t.Fatalf("repository examples:\n%s", strings.Join(f, "\n"))
+	}
+}

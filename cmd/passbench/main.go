@@ -1,21 +1,26 @@
 // Command passbench runs the reproduction's experiment suite (E1–E18) and
-// prints the result tables.
+// prints the result tables. It is the one way to run an experiment.
 //
 // Usage:
 //
-//	passbench [-run E5,E7] [-scale 1.0] [-parallel=true] [-json results.json]
+//	passbench [-run E5,e7] [-scale 1.0] [-json results.json]
 //
 // Each experiment maps to one claim of the paper (see the README experiment
-// map). The default scale (1.0) is the full configuration; smaller scales
-// run proportionally smaller workloads. -json additionally writes every
-// experiment's scalar findings to a machine-readable file, which CI
-// commits as BENCH_<n>.json so successive PRs leave a perf trajectory.
+// map). -run takes IDs in any case; an unknown ID exits 2 and lists the
+// available ones. The default scale (1.0) is the full configuration;
+// smaller scales run proportionally smaller workloads. Sweep cells run on
+// all cores, which leaves every table byte-identical to a serial run.
+// -json additionally writes every experiment's wall-clock and scalar
+// findings to a machine-readable file; the committed BENCH_<n>.json
+// baselines are such files, and cmd/benchcheck compares against them.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,13 +47,31 @@ type jsonReport struct {
 }
 
 func main() {
-	runList := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	scale := flag.Float64("scale", 1.0, "workload scale factor")
-	parallel := flag.Bool("parallel", true, "run sweep cells on all cores (tables are identical either way)")
-	jsonPath := flag.String("json", "", "also write findings as JSON to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	runner := harness.NewRunner(harness.Scale(*scale)).SetParallel(*parallel)
+// run is the command: it parses args, runs the selected experiments and
+// returns the exit code (0 ok, 1 an experiment or the -json write failed,
+// 2 a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("passbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runList := fs.String("run", "", "comma-separated experiment IDs (default: all)")
+	scale := fs.Float64("scale", 1.0, "workload scale factor")
+	jsonPath := fs.String("json", "", "also write findings as JSON to this file")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: passbench [-run E5,e7] [-scale 1.0] [-json results.json]")
+		fs.PrintDefaults()
+		printAvailable(stderr)
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	runner := harness.NewRunner(harness.Scale(*scale))
 
 	var selected []harness.Experiment
 	if *runList == "" {
@@ -58,20 +81,16 @@ func main() {
 			id = strings.TrimSpace(id)
 			exp, ok := harness.Lookup(strings.ToUpper(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "passbench: unknown experiment %q\n", id)
-				fmt.Fprintf(os.Stderr, "available:")
-				for _, e := range harness.All() {
-					fmt.Fprintf(os.Stderr, " %s", e.ID)
-				}
-				fmt.Fprintln(os.Stderr)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "passbench: unknown experiment %q\n", id)
+				printAvailable(stderr)
+				return 2
 			}
 			selected = append(selected, exp)
 		}
 	}
 
-	fmt.Printf("PASS reproduction experiment suite (scale %.2f)\n", *scale)
-	fmt.Printf("paper: Provenance-Aware Sensor Data Storage, NetDB/ICDE 2005\n\n")
+	fmt.Fprintf(stdout, "PASS reproduction experiment suite (scale %.2f)\n", *scale)
+	fmt.Fprintf(stdout, "paper: Provenance-Aware Sensor Data Storage, NetDB/ICDE 2005\n\n")
 
 	report := jsonReport{Scale: *scale}
 	failed := false
@@ -83,12 +102,12 @@ func main() {
 			return runErr
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", exp.ID, err)
+			fmt.Fprintf(stderr, "%s FAILED: %v\n", exp.ID, err)
 			failed = true
 			continue
 		}
-		fmt.Println(res.String())
-		fmt.Printf("(%s completed in %dms, peak %d goroutines)\n\n", exp.ID, wallMs, peak)
+		fmt.Fprintln(stdout, res.String())
+		fmt.Fprintf(stdout, "(%s completed in %dms, peak %d goroutines)\n\n", exp.ID, wallMs, peak)
 		report.TotalMillis += wallMs
 		report.Results = append(report.Results, jsonResult{
 			ID:             res.ID,
@@ -102,20 +121,30 @@ func main() {
 		// Never write a partial findings file: a baseline missing failed
 		// experiments' rows would read as trustworthy data downstream.
 		if *jsonPath != "" {
-			fmt.Fprintf(os.Stderr, "passbench: not writing %s: some experiments failed\n", *jsonPath)
+			fmt.Fprintf(stderr, "passbench: not writing %s: some experiments failed\n", *jsonPath)
 		}
-		os.Exit(1)
+		return 1
 	}
 	if *jsonPath != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "passbench:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "passbench:", err)
+			return 1
 		}
 		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "passbench:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "passbench:", err)
+			return 1
 		}
-		fmt.Printf("findings written to %s\n", *jsonPath)
+		fmt.Fprintf(stdout, "findings written to %s\n", *jsonPath)
 	}
+	return 0
+}
+
+// printAvailable lists the experiment IDs that -run accepts.
+func printAvailable(w io.Writer) {
+	fmt.Fprint(w, "available:")
+	for _, e := range harness.All() {
+		fmt.Fprintf(w, " %s", e.ID)
+	}
+	fmt.Fprintln(w)
 }

@@ -17,7 +17,8 @@
 //	gc -before <RFC3339|unixnano>          collect old payloads
 //	verify                                 consistency audit
 //	stats                                  store statistics
-//	experiment [-scale F] [-parallel=true] <ID...>  run paper experiments (E1–E18); no -store needed
+//
+// The paper's experiments (E1–E18) run through cmd/passbench.
 package main
 
 import (
@@ -31,7 +32,6 @@ import (
 	"time"
 
 	"pass/internal/core"
-	"pass/internal/harness"
 	"pass/internal/index"
 	"pass/internal/provenance"
 	"pass/internal/tuple"
@@ -52,11 +52,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing command (ingest|query|record|lineage|descendants|gc|verify|stats|experiment)")
-	}
-	// The experiment runner simulates its own sites and needs no store.
-	if rest[0] == "experiment" {
-		return cmdExperiment(rest[1:], stdout)
+		return fmt.Errorf("missing command (ingest|query|record|lineage|descendants|gc|verify|stats)")
 	}
 	if *storeDir == "" {
 		return fmt.Errorf("-store is required")
@@ -336,39 +332,6 @@ func cmdVerify(s *core.Store, stdout io.Writer) error {
 		return fmt.Errorf("store is INCONSISTENT")
 	}
 	fmt.Fprintln(stdout, "store is consistent")
-	return nil
-}
-
-// cmdExperiment runs one or more harness experiments — the operator's
-// window into the Section IV architecture comparison, from the E14
-// survivability sweep through the E17 randomized membership schedules —
-// without needing a local store.
-func cmdExperiment(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
-	scale := fs.Float64("scale", 0.25, "workload scale factor (1.0 = full configuration)")
-	parallel := fs.Bool("parallel", true, "run sweep cells on all cores (tables are identical either way)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() == 0 {
-		var ids []string
-		for _, e := range harness.All() {
-			ids = append(ids, e.ID)
-		}
-		return fmt.Errorf("usage: experiment [-scale F] [-parallel=true] <ID...>; available: %s", strings.Join(ids, " "))
-	}
-	runner := harness.NewRunner(harness.Scale(*scale)).SetParallel(*parallel)
-	for _, raw := range fs.Args() {
-		exp, ok := harness.Lookup(strings.ToUpper(strings.TrimSpace(raw)))
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", raw)
-		}
-		res, err := exp.Run(runner)
-		if err != nil {
-			return fmt.Errorf("%s: %w", exp.ID, err)
-		}
-		fmt.Fprintln(stdout, res.String())
-	}
 	return nil
 }
 

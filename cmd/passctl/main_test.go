@@ -150,63 +150,3 @@ func TestTypedAttrParsing(t *testing.T) {
 		}
 	}
 }
-
-func TestExperimentCommand(t *testing.T) {
-	// experiment needs no -store: it simulates its own sites.
-	var out bytes.Buffer
-	err := run([]string{"experiment", "-scale", "0.05", "E14"}, strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"E14", "survivability", "passnet", "dht", "dropped-msgs"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("experiment output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestExperimentCommandE17(t *testing.T) {
-	// The membership experiment, by lowercase ID (the CLI normalizes):
-	// randomized schedules, join handoffs, proactive rejoins — one tiny
-	// run end to end through the operator entry point.
-	var out bytes.Buffer
-	err := run([]string{"experiment", "-scale", "0.05", "e17"}, strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"E17", "Membership", "handoff-bytes", "conv-rounds", "dht", "passnet"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("experiment output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestExperimentCommandE18(t *testing.T) {
-	// The overload experiment through the operator entry point: open-loop
-	// load, admission shedding, latency-tail columns.
-	var out bytes.Buffer
-	err := run([]string{"experiment", "-scale", "0.05", "e18"}, strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"E18", "overload", "shed", "p999-ms", "central-adm", "passnet"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("experiment output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestExperimentCommandUnknownID(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"experiment", "E99"}, strings.NewReader(""), &out); err == nil {
-		t.Fatal("unknown experiment ID should fail")
-	}
-}
-
-func TestExperimentCommandUsage(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"experiment"}, strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "E14") {
-		t.Fatalf("usage error should list experiments, got %v", err)
-	}
-}

@@ -39,7 +39,6 @@
 //	-mode    "passnet" or "dht" (default passnet)
 //	-listen  UDP listen address (default 127.0.0.1:0)
 //	-http    HTTP listen address for /metrics + /healthz ("" disables)
-//	-seed    seed for seeded node behaviours
 //	-data    data directory for WAL + snapshot durability ("" = in-memory
 //	         only); a restarted node recovers its state from here
 //	-fsync   fsync the WAL on every append (machine-crash durability)
@@ -253,7 +252,6 @@ func runNode(args []string, stdout io.Writer, ready func(addr string)) int {
 	mode := fs.String("mode", "passnet", `node mode: "passnet" or "dht"`)
 	listen := fs.String("listen", "127.0.0.1:0", "UDP listen address")
 	httpAddr := fs.String("http", "127.0.0.1:0", "HTTP listen address for /metrics and /healthz (\"\" disables)")
-	seed := fs.Uint64("seed", 1, "seed for seeded node behaviours")
 	dataDir := fs.String("data", "", "data directory for WAL + snapshot durability (\"\" = in-memory only)")
 	fsync := fs.Bool("fsync", false, "fsync the WAL on every append (machine-crash durability)")
 	compactEvery := fs.Int64("compact-every", 0, "WAL records between snapshot compactions (0 = default)")
@@ -262,7 +260,7 @@ func runNode(args []string, stdout io.Writer, ready func(addr string)) int {
 	}
 
 	nd, err := node.New(node.Config{
-		ID: int32(*id), Mode: *mode, Listen: *listen, Seed: *seed,
+		ID: int32(*id), Mode: *mode, Listen: *listen,
 		DataDir: *dataDir, Fsync: *fsync, CompactEvery: *compactEvery,
 	})
 	if err != nil {

@@ -22,6 +22,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -34,14 +35,22 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run streams the vitals, runs the pipeline and prints each query's
+// answer to w.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "pass-ambulance-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	store, err := core.Open(dir, core.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer store.Close()
 
@@ -79,12 +88,12 @@ func main() {
 				provenance.Attr(provenance.KeyEnd, provenance.TimeVal(start.Add(10*time.Minute))),
 			)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			rawByPatient[patient] = append(rawByPatient[patient], id)
 		}
 	}
-	fmt.Println("streamed 3 windows × 3 patients of EKG data")
+	fmt.Fprintln(w, "streamed 3 windows × 3 patients of EKG data")
 
 	// --- Enrichment pipeline: clean → diagnose per patient.
 	diagnosed := make(map[string]provenance.ID)
@@ -94,7 +103,7 @@ func main() {
 		for _, id := range ids {
 			ts, err := store.GetData(id)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			all = append(all, ts)
 		}
@@ -104,7 +113,7 @@ func main() {
 			provenance.Attr(provenance.KeyPatient, provenance.String(patient)),
 		)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Diagnosis: flag readings over 120 bpm.
 		alerts := workload.Filter(cleanedSet, 120)
@@ -115,7 +124,7 @@ func main() {
 			provenance.Attr("arrhythmia", provenance.Bool(alerts.Len() > 2)),
 		)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		diagnosed[patient] = diagID
 	}
@@ -123,44 +132,44 @@ func main() {
 	// --- Query 1: everything we've done for patient-08.
 	ids, err := store.QueryString(`patient=patient-08`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\n\"everything for patient-08\": %d records (raw windows + pipeline stages)\n", len(ids))
+	fmt.Fprintf(w, "\n\"everything for patient-08\": %d records (raw windows + pipeline stages)\n", len(ids))
 
 	// --- Query 2: heart rate from arrival until now (time overlap).
 	ids, err = store.QueryString(fmt.Sprintf(`patient=patient-07 AND OVERLAPS [%d, %d]`,
 		arrival.UnixNano(), arrival.Add(15*time.Minute).UnixNano()))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\"patient-07 from arrival to +15min\": %d raw windows\n", len(ids))
+	fmt.Fprintf(w, "\"patient-07 from arrival to +15min\": %d raw windows\n", len(ids))
 
 	// --- Query 3: heart rate profiles for everyone handled by EMT Jones.
 	ids, err = store.QueryString(`emt=emt-jones AND sensor-class=ekg`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	patientsSeen := map[string]bool{}
 	for _, id := range ids {
 		rec, err := store.GetRecord(id)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if v, ok := rec.Get(provenance.KeyPatient); ok {
 			patientsSeen[v.Str] = true
 		}
 	}
-	fmt.Printf("\"profiles handled by emt-jones\": %d windows across %d patients\n", len(ids), len(patientsSeen))
+	fmt.Fprintf(w, "\"profiles handled by emt-jones\": %d windows across %d patients\n", len(ids), len(patientsSeen))
 
 	// --- Query 4: all patients with signs of arrhythmia.
 	ids, err = store.QueryString(`arrhythmia=true`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, id := range ids {
 		rec, _ := store.GetRecord(id)
 		p, _ := rec.Get(provenance.KeyPatient)
-		fmt.Printf("\"patients with arrhythmia\": %s (diagnosis %s)\n", p.Str, id.Short())
+		fmt.Fprintf(w, "\"patients with arrhythmia\": %s (diagnosis %s)\n", p.Str, id.Short())
 	}
 
 	// --- The taint scenario: auto-diagnose 0.7 has a bug. Find every
@@ -168,26 +177,27 @@ func main() {
 	// downstream can be invalidated.
 	buggy, err := store.QueryString(`"~tool"=auto-diagnose`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tainted := map[provenance.ID]bool{}
 	for _, id := range buggy {
 		tainted[id] = true
 		desc, err := store.Descendants(id, index.NoLimit)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, d := range desc {
 			tainted[d] = true
 		}
 	}
-	fmt.Printf("\ntool recall: auto-diagnose produced/tainted %d data sets — all locatable\n", len(tainted))
+	fmt.Fprintf(w, "\ntool recall: auto-diagnose produced/tainted %d data sets — all locatable\n", len(tainted))
 
 	// Show one patient's full lineage for the hospital hand-off.
 	tree, err := store.LineageTree(diagnosed["patient-08"], 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nhand-off lineage for patient-08's diagnosis:")
-	fmt.Print(tree)
+	fmt.Fprintln(w, "\nhand-off lineage for patient-08's diagnosis:")
+	fmt.Fprint(w, tree)
+	return nil
 }

@@ -18,7 +18,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"pass/internal/arch"
@@ -32,6 +34,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the federation, runs its queries and prints the answers
+// and the side-by-side comparison to w.
+func run(w io.Writer) error {
 	// --- Topology: one PASS site per world city.
 	net := netsim.New(netsim.Config{})
 	cities := geo.WorldCities().Zones()
@@ -42,11 +52,11 @@ func main() {
 		sites = append(sites, id)
 		siteOf[z.Name] = id
 	}
-	fmt.Printf("federation of %d local PASS sites: ", len(sites))
+	fmt.Fprintf(w, "federation of %d local PASS sites: ", len(sites))
 	for _, z := range cities {
-		fmt.Printf("%s ", z.Name)
+		fmt.Fprintf(w, "%s ", z.Name)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	model := passnet.New(net, sites, passnet.Options{ImmediateDigest: true})
 
@@ -62,17 +72,17 @@ func main() {
 		"singapore": workload.DomainWeather,
 	}
 	pubCount := 0
-	publishSet := func(g workload.GenSet, origin netsim.SiteID) provenance.ID {
+	publishSet := func(g workload.GenSet, origin netsim.SiteID) (provenance.ID, error) {
 		rec, id, err := provenance.NewRaw(g.Set.Digest(), int64(g.Set.EncodedSize())).
 			Attrs(g.Attrs...).CreatedAt(clock()).Build()
 		if err != nil {
-			log.Fatal(err)
+			return id, err
 		}
 		if _, err := model.Publish(arch.Pub{ID: id, Rec: rec, Origin: origin}); err != nil {
-			log.Fatal(err)
+			return id, err
 		}
 		pubCount++
-		return id
+		return id, nil
 	}
 	for city, dom := range domains {
 		sets := workload.Generate(workload.Config{
@@ -81,27 +91,29 @@ func main() {
 			WindowDur: time.Hour, Seed: uint64(len(city)),
 		})
 		for _, g := range sets {
-			publishSet(g, siteOf[city])
+			if _, err := publishSet(g, siteOf[city]); err != nil {
+				return err
+			}
 		}
 	}
-	fmt.Printf("published %d tuple sets, each stored at its producing site\n\n", pubCount)
+	fmt.Fprintf(w, "published %d tuple sets, each stored at its producing site\n\n", pubCount)
 
 	boston := siteOf["boston"]
 
 	// --- Global attribute query from boston: find all volcano data.
 	got, lat, err := model.QueryAttr(boston, provenance.KeyDomain, provenance.String("volcano"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("boston queries domain=volcano: %d records in %v (digest routing contacted %d remote site(s))\n",
+	fmt.Fprintf(w, "boston queries domain=volcano: %d records in %v (digest routing contacted %d remote site(s))\n",
 		len(got), lat.Round(time.Microsecond), model.LastContacted())
 
 	// --- Local query stays local: boston's own traffic.
 	got, lat, err = model.QueryAttr(boston, provenance.KeyZone, provenance.String("boston"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("boston queries zone=boston:    %d records in %v (no WAN hop needed)\n",
+	fmt.Fprintf(w, "boston queries zone=boston:    %d records in %v (no WAN hop needed)\n",
 		len(got), lat.Round(time.Microsecond))
 
 	// --- A derivation chain spanning three sites: tokyo raw → london
@@ -110,37 +122,44 @@ func main() {
 		Domain: workload.DomainVolcano, Zones: []string{"tokyo"},
 		Windows: 1, SensorsPerZone: 2, ReadingsPerSensor: 4, WindowDur: time.Hour, Seed: 99,
 	})
-	tokyoRaw := publishSet(tokyoSets[0], siteOf["tokyo"])
+	tokyoRaw, err := publishSet(tokyoSets[0], siteOf["tokyo"])
+	if err != nil {
+		return err
+	}
 
-	mkDerived := func(seed byte, tool string, origin netsim.SiteID, parents ...provenance.ID) provenance.ID {
+	mkDerived := func(seed byte, tool string, origin netsim.SiteID, parents ...provenance.ID) (provenance.ID, error) {
 		var digest [32]byte
 		digest[0], digest[1] = seed, 0xFE
 		rec, id, err := provenance.NewDerived(digest, 128, tool, "1.0", parents...).
 			Attr(provenance.KeyDomain, provenance.String("cross-domain")).
 			CreatedAt(clock()).Build()
 		if err != nil {
-			log.Fatal(err)
+			return id, err
 		}
-		if _, err := model.Publish(arch.Pub{ID: id, Rec: rec, Origin: origin}); err != nil {
-			log.Fatal(err)
-		}
-		return id
+		_, err = model.Publish(arch.Pub{ID: id, Rec: rec, Origin: origin})
+		return id, err
 	}
-	correlated := mkDerived(1, "quake-traffic-correlate", siteOf["london"], tokyoRaw)
-	synthesis := mkDerived(2, "global-synthesis", boston, correlated)
+	correlated, err := mkDerived(1, "quake-traffic-correlate", siteOf["london"], tokyoRaw)
+	if err != nil {
+		return err
+	}
+	synthesis, err := mkDerived(2, "global-synthesis", boston, correlated)
+	if err != nil {
+		return err
+	}
 
 	net.ResetStats()
 	anc, lat, err := model.QueryAncestors(boston, synthesis)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := net.Stats()
-	fmt.Printf("\ndistributed closure from boston over a tokyo→london→boston chain:\n")
-	fmt.Printf("  %d ancestors, %v, %d messages (server-side traversal per site)\n",
+	fmt.Fprintf(w, "\ndistributed closure from boston over a tokyo→london→boston chain:\n")
+	fmt.Fprintf(w, "  %d ancestors, %v, %d messages (server-side traversal per site)\n",
 		len(anc), lat.Round(time.Microsecond), st.Messages)
 
 	// --- Side-by-side with the Section IV alternatives.
-	fmt.Println("\nsame workload under the design-space alternatives:")
+	fmt.Fprintln(w, "\nsame workload under the design-space alternatives:")
 	for _, alt := range []struct {
 		name string
 		mk   func(net *netsim.Network, sites []netsim.SiteID) arch.Model
@@ -175,31 +194,32 @@ func main() {
 			rec, id, err := provenance.NewRaw(g.Set.Digest(), int64(g.Set.EncodedSize())).
 				Attrs(g.Attrs...).CreatedAt(func() int64 { c2++; return c2 }()).Build()
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if _, err := m.Publish(arch.Pub{ID: id, Rec: rec, Origin: bostonAlt}); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		if err := m.Tick(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		altNet.ResetStats()
 		_, lat, err := m.QueryAttr(bostonAlt, provenance.KeyZone, provenance.String("boston"))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-34s boston-local query: %8v, %6d WAN bytes\n",
+		fmt.Fprintf(w, "  %-34s boston-local query: %8v, %6d WAN bytes\n",
 			alt.name+":", lat.Round(time.Microsecond), altNet.Stats().WANBytes)
 	}
 	net.ResetStats()
 	_, localLat, err := model.QueryAttr(boston, provenance.KeyZone, provenance.String("boston"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  %-34s boston-local query: %8v, %6d WAN bytes\n",
+	fmt.Fprintf(w, "  %-34s boston-local query: %8v, %6d WAN bytes\n",
 		"passnet (this example):", localLat.Round(time.Microsecond), net.Stats().WANBytes)
-	fmt.Println("\nBoston traffic data belongs in Boston — and under PASS, it stays there.")
+	fmt.Fprintln(w, "\nBoston traffic data belongs in Boston — and under PASS, it stays there.")
+	return nil
 }
 
 // siteOfIn finds a named site in a network (it was registered above).

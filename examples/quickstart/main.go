@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -21,15 +22,22 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run performs the tour, printing each step and query answer to w.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "pass-quickstart-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
 	store, err := core.Open(dir, core.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer store.Close()
 
@@ -51,9 +59,9 @@ func main() {
 		provenance.Attr(provenance.KeyEnd, provenance.TimeVal(start.Add(time.Hour))),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("ingested raw tuple set:", rawID.Short())
+	fmt.Fprintln(w, "ingested raw tuple set:", rawID.Short())
 
 	// 2. Derive: keep only speeders (>= 60 km/h). The derivation's
 	// provenance names its input and the tool that produced it.
@@ -68,9 +76,9 @@ func main() {
 		provenance.Attr("threshold-kmh", provenance.Int64(60)),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("derived speeder set:   ", fastID.Short(), "-", speeders.Len(), "readings")
+	fmt.Fprintln(w, "derived speeder set:   ", fastID.Short(), "-", speeders.Len(), "readings")
 
 	// 3. Annotate the raw data: camera 1 was replaced mid-window — the
 	// kind of note the paper says filenames cannot carry.
@@ -79,44 +87,45 @@ func main() {
 		provenance.Attr(provenance.KeyUpgrade, provenance.Bool(true)),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("annotation:            ", noteID.Short())
+	fmt.Fprintln(w, "annotation:            ", noteID.Short())
 
 	// 4. Query by attribute (the provenance IS the name).
 	ids, err := store.QueryString(`domain=traffic AND zone=london`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nattribute query 'domain=traffic AND zone=london':", len(ids), "record(s)")
+	fmt.Fprintln(w, "\nattribute query 'domain=traffic AND zone=london':", len(ids), "record(s)")
 
 	// 5. Query by time overlap.
 	ids, err = store.QueryString(fmt.Sprintf("OVERLAPS [%d, %d]",
 		start.Add(30*time.Minute).UnixNano(), start.Add(40*time.Minute).UnixNano()))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("time-overlap query:", len(ids), "record(s)")
+	fmt.Fprintln(w, "time-overlap query:", len(ids), "record(s)")
 
 	// 6. Lineage: where did the speeder set come from?
 	tree, err := store.LineageTree(fastID, 4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nlineage of the speeder set:")
-	fmt.Print(tree)
+	fmt.Fprintln(w, "\nlineage of the speeder set:")
+	fmt.Fprint(w, tree)
 
 	// 7. Forward closure: what was touched by the raw data? (taint)
 	desc, err := store.Descendants(rawID, index.NoLimit)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("descendants of the raw set:", len(desc), "(filter output + annotation)")
+	fmt.Fprintln(w, "descendants of the raw set:", len(desc), "(filter output + annotation)")
 
 	// 8. The audit that backs the Reliability criterion.
 	rep, err := store.VerifyConsistency()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nconsistency audit: records=%d clean=%v\n", rep.Records, rep.Clean())
+	fmt.Fprintf(w, "\nconsistency audit: records=%d clean=%v\n", rep.Records, rep.Clean())
+	return nil
 }

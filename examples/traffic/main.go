@@ -18,6 +18,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -29,14 +30,22 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the pipeline, audits it, collects payloads and prints
+// each answer to w.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "pass-traffic-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	store, err := core.Open(dir, core.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer store.Close()
 
@@ -51,7 +60,7 @@ func main() {
 	})
 	trafficIDs, err := workload.IngestAll(store, traffic)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	weather := workload.Generate(workload.Config{
 		Domain:  workload.DomainWeather,
@@ -61,9 +70,9 @@ func main() {
 	})
 	weatherIDs, err := workload.IngestAll(store, weather)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("ingested %d traffic and %d weather tuple sets\n", len(trafficIDs), len(weatherIDs))
+	fmt.Fprintf(w, "ingested %d traffic and %d weather tuple sets\n", len(trafficIDs), len(weatherIDs))
 
 	// --- Pipeline stage 1: aggregate each city's day ("aggregated over
 	// time to estimate the effects of changing Zone size").
@@ -71,13 +80,13 @@ func main() {
 	for _, city := range []string{"london", "boston"} {
 		ids, err := store.QueryString("domain=traffic AND zone=" + city)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var inputs []*tuple.Set
 		for _, id := range ids {
 			ts, err := store.GetData(id)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			inputs = append(inputs, ts)
 		}
@@ -88,10 +97,10 @@ func main() {
 			provenance.Attr("granularity", provenance.String("daily")),
 		)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cityAgg[city] = aggID
-		fmt.Printf("daily aggregate for %-7s %s (from %d windows)\n", city+":", aggID.Short(), len(ids))
+		fmt.Fprintf(w, "daily aggregate for %-7s %s (from %d windows)\n", city+":", aggID.Short(), len(ids))
 	}
 
 	// --- Stage 2: cross-city merge ("combined geographically with data
@@ -106,9 +115,9 @@ func main() {
 		provenance.Attr("coverage", provenance.String("london+boston")),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("cross-city merge:      ", mergeID.Short())
+	fmt.Fprintln(w, "cross-city merge:      ", mergeID.Short())
 
 	// --- Stage 3: weather join ("merging historical traffic data with
 	// historical weather data").
@@ -117,7 +126,7 @@ func main() {
 	for _, id := range weatherIDs {
 		ts, err := store.GetData(id)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		wAll = append(wAll, ts)
 	}
@@ -126,46 +135,47 @@ func main() {
 		provenance.Attr(provenance.KeyDomain, provenance.String("traffic+weather")),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("traffic×weather join:  ", joinID.Short())
+	fmt.Fprintln(w, "traffic×weather join:  ", joinID.Short())
 
 	// --- The investigator's question (Section II-B): this joined data
 	// looks suspect — find the raw tuple sets it came from, and which
 	// postprocessing programs touched it.
 	roots, err := store.Roots(joinID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nprovenance audit of the join: %d raw origin sets\n", len(roots))
+	fmt.Fprintf(w, "\nprovenance audit of the join: %d raw origin sets\n", len(roots))
 	tools, err := store.QueryString(`"~tool"=daily-aggregate`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("tuple sets handled by 'daily-aggregate': %d\n", len(tools))
+	fmt.Fprintf(w, "tuple sets handled by 'daily-aggregate': %d\n", len(tools))
 
 	// Every origin is reachable; check one lineage path.
 	ok, err := store.Reachable(joinID, trafficIDs[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("join reachable from first london window: %v\n", ok)
+	fmt.Fprintf(w, "join reachable from first london window: %v\n", ok)
 
 	// --- Archival story: after the day closes, raw payloads are
 	// collected; provenance stays queryable (P4).
 	n, err := store.RemoveDataBefore(day.Add(3 * time.Hour).UnixNano())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nGC: collected %d early-morning payloads\n", n)
+	fmt.Fprintf(w, "\nGC: collected %d early-morning payloads\n", n)
 	roots2, err := store.Roots(joinID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("origins still resolvable after GC: %d/%d\n", len(roots2), len(roots))
+	fmt.Fprintf(w, "origins still resolvable after GC: %d/%d\n", len(roots2), len(roots))
 	rep, err := store.VerifyConsistency()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("audit: records=%d collected=%d clean=%v\n", rep.Records, rep.Collected, rep.Clean())
+	fmt.Fprintf(w, "audit: records=%d collected=%d clean=%v\n", rep.Records, rep.Collected, rep.Clean())
+	return nil
 }

@@ -73,9 +73,6 @@ func New(net arch.Network, servers []netsim.SiteID, order []string) (*Model, err
 // Name implements arch.Model.
 func (m *Model) Name() string { return "hier" }
 
-// Primary returns the most significant attribute key.
-func (m *Model) Primary() string { return m.order[0] }
-
 // homeFor assigns (and remembers) the server owning a primary value:
 // values are spread round-robin over servers, mimicking subtree
 // delegation.

@@ -87,7 +87,7 @@ func BuildPassd() (string, error) {
 type Config struct {
 	N      int    // node count
 	Mode   string // "passnet" or "dht"
-	Seed   uint64
+	Seed   uint64 // seeds a soak's loss rules and records
 	LogDir string // per-node log directory; "" uses a temp dir
 	// DataRoot, when set, makes every node durable: node i gets
 	// DataRoot/node-i as its -data directory, and KillAndRestart can
@@ -188,7 +188,6 @@ func (c *Cluster) startProc(p *proc) error {
 		"-mode", c.cfg.Mode,
 		"-listen", p.listen,
 		"-http", "127.0.0.1:0",
-		"-seed", fmt.Sprint(c.cfg.Seed + uint64(uint32(p.id))),
 	}
 	if p.dataDir != "" {
 		args = append(args, "-data", p.dataDir)
@@ -255,17 +254,6 @@ func (c *Cluster) N() int { return len(c.procs) }
 
 // Alive reports whether node i has not been killed or stopped.
 func (c *Cluster) Alive(i int) bool { return !c.procs[i].dead }
-
-// LiveAddrs returns the UDP addresses of all not-killed nodes.
-func (c *Cluster) LiveAddrs() []*net.UDPAddr {
-	var out []*net.UDPAddr
-	for _, p := range c.procs {
-		if !p.dead {
-			out = append(out, p.udp)
-		}
-	}
-	return out
-}
 
 // TickAll runs one maintenance round on every live node in ID order —
 // the cluster's analogue of the harness's per-round model Tick.

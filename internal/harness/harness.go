@@ -147,17 +147,3 @@ func Lookup(id string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-// RunAll executes every experiment, returning results in order. The first
-// error aborts.
-func (r *Runner) RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, e := range All() {
-		res, err := e.Run(r)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

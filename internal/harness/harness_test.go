@@ -485,14 +485,16 @@ func TestRunAllProducesAllResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	results, err := NewRunner(0.05).RunAll()
-	if err != nil {
-		t.Fatal(err)
+	all := All()
+	if len(all) != 18 {
+		t.Fatalf("got %d experiments", len(all))
 	}
-	if len(results) != 18 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for _, r := range results {
+	runner := NewRunner(0.05)
+	for _, e := range all {
+		r, err := e.Run(runner)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
 		if r.Table == nil || len(r.Findings) == 0 {
 			t.Fatalf("%s has empty output", r.ID)
 		}

@@ -56,7 +56,6 @@ type Config struct {
 	ID     int32  // dense node ID; doubles as the wire From and the ring seat
 	Mode   string // "passnet" or "dht"
 	Listen string // UDP listen address ("127.0.0.1:0" for ephemeral)
-	Seed   uint64 // reserved for seeded behaviours (drop rules arrive seeded via TDrop)
 
 	// DataDir, when set, makes the node durable: every applied mutation
 	// is WAL-appended before acknowledgment and compacted into a
