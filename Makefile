@@ -28,10 +28,14 @@
 #   make bench-check   — run the suite at the baseline's scale and fail on
 #                        runtime regressions or broken recall invariants
 #                        (cmd/benchcheck).
+#   make same-tables   — the no-behaviour-change proof: diff the twelve
+#                        deterministic experiment tables at scale 0.1
+#                        against $(REF) (default HEAD). Not part of check:
+#                        a behaviour change differs on purpose.
 
 GO ?= go
 
-.PHONY: all build test short vet race check bench bench-quick bench-check bench-smoke docs-check
+.PHONY: all build test short vet race check bench bench-quick bench-check bench-smoke docs-check same-tables
 
 all: build
 
@@ -97,3 +101,20 @@ bench-quick:
 bench-check:
 	$(GO) run ./cmd/passbench -scale 0.5 -json BENCH.json >/dev/null
 	$(GO) run ./cmd/benchcheck -baseline BENCH_3.json -current BENCH.json
+
+# Extract $(REF) with git archive, run the deterministic tables there and
+# in the working tree, drop the wall-clock "(… completed in …)" lines, and
+# diff. E1–E4, E10 and E12 print wall-clock columns, so two runs of the
+# same commit differ there; they are left out.
+REF ?= HEAD
+SAME_TABLES = E5,E6,E7,E8,E9,E11,E13,E14,E15,E16,E17,E18
+
+same-tables:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/ref" && \
+	git archive $(REF) | tar -x -C "$$tmp/ref" && \
+	(cd "$$tmp/ref" && $(GO) run ./cmd/passbench -run $(SAME_TABLES) -scale 0.1 > "$$tmp/ref.raw") && \
+	$(GO) run ./cmd/passbench -run $(SAME_TABLES) -scale 0.1 > "$$tmp/cur.raw" && \
+	grep -v '^(E[0-9]* completed in ' "$$tmp/ref.raw" > "$$tmp/ref.txt" && \
+	grep -v '^(E[0-9]* completed in ' "$$tmp/cur.raw" > "$$tmp/cur.txt" && \
+	diff -u "$$tmp/ref.txt" "$$tmp/cur.txt" && \
+	echo "same-tables: $(SAME_TABLES) at scale 0.1 identical to $(REF)"

@@ -21,9 +21,9 @@
 // Daemon flags:
 //
 //	-addr       listen address (default 127.0.0.1:9464; port 0 picks one)
-//	-models     comma-separated roster models to soak concurrently
-//	            (default passnet-eff; roster: central, softstate, dht,
-//	            passnet, passnet-eff)
+//	-models     comma-separated models to soak concurrently: any
+//	            internal/arch/roster name, or central-adm (default
+//	            passnet-eff)
 //	-seed       base schedule seed (iteration i of each model uses seed+i)
 //	-sites      topology size per model (default 16)
 //	-rounds     simulated rounds per soak iteration (default 24)

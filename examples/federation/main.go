@@ -160,23 +160,19 @@ func run(w io.Writer) error {
 
 	// --- Side-by-side with the Section IV alternatives.
 	fmt.Fprintln(w, "\nsame workload under the design-space alternatives:")
-	for _, alt := range []struct {
-		name string
-		mk   func(net *netsim.Network, sites []netsim.SiteID) arch.Model
-	}{
-		{"central (warehouse in singapore)", func(n *netsim.Network, s []netsim.SiteID) arch.Model {
-			return central.New(n, siteOfIn(n, "singapore"))
-		}},
-		{"dht (random placement)", func(n *netsim.Network, s []netsim.SiteID) arch.Model {
-			return dht.New(n, s)
-		}},
-	} {
+	for _, alt := range []string{"central (warehouse in singapore)", "dht (random placement)"} {
 		altNet := netsim.New(netsim.Config{})
 		var altSites []netsim.SiteID
 		for _, z := range cities {
 			altSites = append(altSites, altNet.AddSite(z.Name, z.Center, z.Name))
 		}
-		m := alt.mk(altNet, altSites)
+		var m arch.Model
+		switch alt {
+		case "central (warehouse in singapore)":
+			m = central.New(altNet, siteOfIn(altNet, "singapore"))
+		default:
+			m = dht.New(altNet, altSites)
+		}
 		// Publish boston's traffic data only, then query it from boston.
 		sets := workload.Generate(workload.Config{
 			Domain: workload.DomainTraffic, Zones: []string{"boston"},
@@ -209,7 +205,7 @@ func run(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "  %-34s boston-local query: %8v, %6d WAN bytes\n",
-			alt.name+":", lat.Round(time.Microsecond), altNet.Stats().WANBytes)
+			alt+":", lat.Round(time.Microsecond), altNet.Stats().WANBytes)
 	}
 	net.ResetStats()
 	_, localLat, err := model.QueryAttr(boston, provenance.KeyZone, provenance.String("boston"))

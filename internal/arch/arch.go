@@ -114,6 +114,12 @@ type Model interface {
 	Tick() error
 }
 
+// Builder constructs one model over a network and its participant sites.
+// Experiments, the schedule runner, and the conformance suite take
+// builders so each run gets a fresh instance; package roster names the
+// comparison entrants.
+type Builder func(*netsim.Network, []netsim.SiteID) Model
+
 // Stabilizer is the optional capability interface for models that run
 // explicit membership repair (today: dht). A stabilize round detects
 // crashed members, repairs successor/finger structures around them, and

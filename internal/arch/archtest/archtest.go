@@ -20,13 +20,13 @@ import (
 // Config describes the model under test.
 type Config struct {
 	// Make builds the model over the given network and participant sites.
-	Make func(net *netsim.Network, sites []netsim.SiteID) arch.Model
+	Make arch.Builder
 	// MakeReplay optionally builds the model with proactive snapshot
 	// recovery disabled (passnet's ManualRejoin), for laws that need a
 	// replay-only recovery path to compare against — today FastRejoin's
 	// replay leg. Models whose default already is replay-only leave it
 	// nil and Make is used.
-	MakeReplay func(net *netsim.Network, sites []netsim.SiteID) arch.Model
+	MakeReplay arch.Builder
 	// MakeEfficient optionally builds the model with its byte-efficient
 	// gossip mode on (passnet's EfficientGossip), for the
 	// DuplicateSuppression law's baseline-vs-efficient comparison. The
@@ -34,7 +34,7 @@ type Config struct {
 	// meter its gossip (arch.GossipMeter). Leave nil — skipping the law —
 	// when Make already is the efficient build or the model has no such
 	// mode.
-	MakeEfficient func(net *netsim.Network, sites []netsim.SiteID) arch.Model
+	MakeEfficient arch.Builder
 	// NeedsTick indicates queries only see state after a Tick (soft
 	// state, digest gossip).
 	NeedsTick bool

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"pass/internal/arch"
+	"pass/internal/arch/scenario"
 	"pass/internal/arch/siteview"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
@@ -51,7 +52,7 @@ func testKeyRehoming(t *testing.T, cfg Config) {
 	pubs := make([]arch.Pub, 0, nRecs)
 	for i := 0; i < nRecs; i++ {
 		origin := sites[(i*11)%len(sites)]
-		p := PubN(i, origin,
+		p := scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin))
 		if _, err := m.Publish(p); err != nil {
@@ -105,7 +106,7 @@ func testKeyRehoming(t *testing.T, cfg Config) {
 	if frac := float64(recovered) / float64(nRecs); frac < 0.99 {
 		t.Fatalf("lookup recovery %.3f after crash+stabilize (%d/%d), want >= 0.99", frac, recovered, nRecs)
 	}
-	for qi, r := range recallOf(m, queriers, provenance.KeyDomain, domain, want) {
+	for qi, r := range queryRecall(t, m, queriers, provenance.KeyDomain, domain, want) {
 		if r < 0.99 {
 			t.Fatalf("querier %d: attribute recall %v after crash+stabilize, want >= 0.99", qi, r)
 		}
@@ -155,10 +156,10 @@ func testFastRejoin(t *testing.T, cfg Config) {
 		victim := sites[20]
 
 		pub := func(n int, origin netsim.SiteID) {
-			p := PubN(n, origin,
+			p := scenario.PubN(n, origin,
 				provenance.Attr(provenance.KeyDomain, domain),
 				zoneAttr(t, net, origin))
-			if !publishRetry(m, p, 4) {
+			if !offerAcked(t, m, p, 4) {
 				t.Fatalf("publish %d failed on a pristine network", n)
 			}
 		}

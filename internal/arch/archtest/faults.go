@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"pass/internal/arch"
+	"pass/internal/arch/scenario"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
 )
@@ -31,41 +32,16 @@ const (
 	partTopoSeed  = 5772
 )
 
-// PubN builds a deterministic raw record distinguished by n (MakeRaw's
-// one-byte seed caps out at 256 records; fault scenarios need more). The
-// record carries a unique "n" attribute plus attrs.
-func PubN(n int, origin netsim.SiteID, attrs ...provenance.Attribute) arch.Pub {
-	var digest [32]byte
-	digest[0], digest[1], digest[2] = byte(n), byte(n>>8), 0xAB
-	all := append([]provenance.Attribute{provenance.Attr("n", provenance.Int64(int64(n)))}, attrs...)
-	rec, id, err := provenance.NewRaw(digest, 64).Attrs(all...).CreatedAt(int64(n) + 1).Build()
+// offerAcked offers p up to tries times (scenario.Offer) and reports
+// whether it was acknowledged. A failure outside the fault contract fails
+// the law rather than reading as "not acked".
+func offerAcked(t *testing.T, m arch.Model, p arch.Pub, tries int) bool {
+	t.Helper()
+	o, err := scenario.Offer(m, p, tries)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	return arch.Pub{ID: id, Rec: rec, Origin: origin}
-}
-
-// DerivedN builds a deterministic derived record distinguished by n.
-func DerivedN(n int, tool string, origin netsim.SiteID, parents ...provenance.ID) arch.Pub {
-	var digest [32]byte
-	digest[0], digest[1], digest[2] = byte(n), byte(n>>8), 0xCD
-	rec, id, err := provenance.NewDerived(digest, 64, tool, "1.0", parents...).
-		CreatedAt(int64(n) + 1).Build()
-	if err != nil {
-		panic(err)
-	}
-	return arch.Pub{ID: id, Rec: rec, Origin: origin}
-}
-
-// publishRetry offers p up to attempts times (Publish is idempotent by
-// the fault contract) and reports whether it was eventually acknowledged.
-func publishRetry(m arch.Model, p arch.Pub, attempts int) bool {
-	for i := 0; i < attempts; i++ {
-		if _, err := m.Publish(p); err == nil {
-			return true
-		}
-	}
-	return false
+	return o.Acked
 }
 
 // flushN runs n maintenance rounds; under faults a single round may not
@@ -83,40 +59,21 @@ func flushN(t *testing.T, m arch.Model, n int) {
 // so hierarchical models get a meaningful primary attribute at scale.
 func zoneAttr(t *testing.T, net *netsim.Network, origin netsim.SiteID) provenance.Attribute {
 	t.Helper()
-	s, err := net.Site(origin)
+	a, err := scenario.ZoneAttr(net, origin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return provenance.Attr(provenance.KeyZone, provenance.String(s.Zone))
+	return a
 }
 
-// recallOf queries (key, value) from each querier and returns the
-// per-querier fraction of want found. Queries are best-effort, so a
-// lossy network can transiently degrade a single attempt (a fan-out
-// skips a component whose retransmissions all dropped); like a real
-// client, each querier retries up to three times and keeps its best
-// answer. A querier whose every attempt errors scores 0.
-func recallOf(m arch.Model, queriers []netsim.SiteID, key string, value provenance.Value, want map[provenance.ID]bool) []float64 {
-	out := make([]float64, len(queriers))
-	for qi, q := range queriers {
-		for attempt := 0; attempt < 3; attempt++ {
-			got, _, err := m.QueryAttr(q, key, value)
-			if err != nil {
-				continue
-			}
-			hit := 0
-			for _, id := range got {
-				if want[id] {
-					hit++
-				}
-			}
-			if r := float64(hit) / float64(len(want)); r > out[qi] {
-				out[qi] = r
-			}
-			if out[qi] == 1.0 {
-				break
-			}
-		}
+// queryRecall is scenario.QueryRecall with three tries per querier — a
+// real client's retries against best-effort queries under loss — and
+// fails the law on any query error outside the fault contract.
+func queryRecall(t *testing.T, m arch.Model, queriers []netsim.SiteID, key string, value provenance.Value, want map[provenance.ID]bool) []float64 {
+	t.Helper()
+	out, _, err := scenario.QueryRecall(m, queriers, key, value, want, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -143,7 +100,7 @@ func testScaleSweep(t *testing.T, cfg Config) {
 	want := make(map[provenance.ID]bool, nRecs)
 	for i := 0; i < nRecs; i++ {
 		origin := sites[(i*17)%len(sites)]
-		p := PubN(i, origin,
+		p := scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin))
 		if _, err := m.Publish(p); err != nil {
@@ -154,7 +111,7 @@ func testScaleSweep(t *testing.T, cfg Config) {
 	flushN(t, m, 1)
 
 	queriers := []netsim.SiteID{sites[0], sites[len(sites)/2], sites[len(sites)-1]}
-	for _, r := range recallOf(m, queriers, provenance.KeyDomain, domain, want) {
+	for _, r := range queryRecall(t, m, queriers, provenance.KeyDomain, domain, want) {
 		if r != 1.0 {
 			t.Fatalf("recall %v at %d sites, want 1.0", r, len(sites))
 		}
@@ -168,9 +125,9 @@ func testScaleSweep(t *testing.T, cfg Config) {
 		origin := sites[(i*83)%len(sites)]
 		var p arch.Pub
 		if i == 0 {
-			p = PubN(1000+i, origin, zoneAttr(t, net, origin))
+			p = scenario.PubN(1000+i, origin, zoneAttr(t, net, origin))
 		} else {
-			p = DerivedN(1000+i, fmt.Sprintf("step-%d", i), origin, chain[i-1])
+			p = scenario.DerivedN(1000+i, fmt.Sprintf("step-%d", i), origin, chain[i-1])
 		}
 		if _, err := m.Publish(p); err != nil {
 			t.Fatalf("chain publish %d: %v", i, err)
@@ -208,17 +165,17 @@ func testRecallUnderLoss(t *testing.T, cfg Config) {
 		acked := 0
 		for i := 0; i < nRecs; i++ {
 			origin := sites[(i*7)%len(sites)]
-			p := PubN(i, origin,
+			p := scenario.PubN(i, origin,
 				provenance.Attr(provenance.KeyDomain, domain),
 				zoneAttr(t, net, origin))
-			if publishRetry(m, p, 6) {
+			if offerAcked(t, m, p, 6) {
 				acked++
 				want[p.ID] = true
 			}
 		}
 		flushN(t, m, 8)
 		queriers := []netsim.SiteID{sites[0], sites[13], sites[26], sites[39]}
-		return recallOf(m, queriers, provenance.KeyDomain, domain, want), acked, net.Stats()
+		return queryRecall(t, m, queriers, provenance.KeyDomain, domain, want), acked, net.Stats()
 	}
 
 	recall1, acked1, stats1 := run()
@@ -267,13 +224,13 @@ func testRecallUnderChurn(t *testing.T, cfg Config) {
 	offer := func(p arch.Pub) {
 		all = append(all, p)
 		offered[p.ID] = true
-		publishRetry(m, p, 4) // may fail mid-churn; re-offered after heal
+		offerAcked(t, m, p, 4) // may fail mid-churn; re-offered after heal
 	}
 
 	// Phase A: steady state minus the late joiners.
 	for i := 0; i < 40; i++ {
 		origin := sites[(i*3)%16] // only up sites produce
-		offer(PubN(i, origin,
+		offer(scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin)))
 	}
@@ -290,7 +247,7 @@ func testRecallUnderChurn(t *testing.T, cfg Config) {
 	}
 	for i := 40; i < 60; i++ {
 		origin := lateJoiners[i%len(lateJoiners)]
-		offer(PubN(i, origin,
+		offer(scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin)))
 	}
@@ -305,14 +262,14 @@ func testRecallUnderChurn(t *testing.T, cfg Config) {
 	}
 	want := make(map[provenance.ID]bool, len(all))
 	for _, p := range all {
-		if !publishRetry(m, p, 6) {
+		if !offerAcked(t, m, p, 6) {
 			t.Fatalf("publish %s still failing after full heal", p.ID.Short())
 		}
 		want[p.ID] = true
 	}
 	flushN(t, m, 8)
 	queriers := []netsim.SiteID{sites[0], sites[17], sites[23]}
-	for qi, r := range recallOf(m, queriers, provenance.KeyDomain, domain, want) {
+	for qi, r := range queryRecall(t, m, queriers, provenance.KeyDomain, domain, want) {
 		if r != 1.0 {
 			t.Fatalf("querier %d: post-churn recall %v, want 1.0", qi, r)
 		}
@@ -320,16 +277,18 @@ func testRecallUnderChurn(t *testing.T, cfg Config) {
 }
 
 // sanityQueries checks the best-effort contract mid-fault: a query either
-// errors (its index is unreachable) or returns only records that were
-// actually offered to the model — degraded recall is fine, and so is
-// seeing a partially-indexed record whose publish errored mid-way, but a
-// record nobody ever offered is a corruption.
+// fails unavailable (its index is unreachable) or returns only records
+// that were actually offered to the model — degraded recall is fine, and
+// so is seeing a partially-indexed record whose publish errored mid-way,
+// but a record nobody ever offered is a corruption.
 func sanityQueries(t *testing.T, m arch.Model, queriers []netsim.SiteID, domain provenance.Value, offered map[provenance.ID]bool) {
 	t.Helper()
 	for _, q := range queriers {
 		got, _, err := m.QueryAttr(q, provenance.KeyDomain, domain)
-		if err != nil {
+		if arch.IsUnavailable(err) {
 			continue // index unreachable: an honest refusal
+		} else if err != nil {
+			t.Fatalf("querier %d: %v", q, err)
 		}
 		for _, id := range got {
 			if !offered[id] {
@@ -362,12 +321,12 @@ func testPartitionHeal(t *testing.T, cfg Config) {
 		} else {
 			origin = right[(i/2)%len(right)]
 		}
-		p := PubN(i, origin,
+		p := scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin))
 		all = append(all, p)
 		offered[p.ID] = true
-		publishRetry(m, p, 2) // cross-partition publishes fail for now
+		offerAcked(t, m, p, 2) // cross-partition publishes fail for now
 	}
 	flushN(t, m, 2)
 	sanityQueries(t, m, []netsim.SiteID{left[1], right[1]}, domain, offered)
@@ -375,13 +334,13 @@ func testPartitionHeal(t *testing.T, cfg Config) {
 	net.HealPartition()
 	want := make(map[provenance.ID]bool, len(all))
 	for _, p := range all {
-		if !publishRetry(m, p, 6) {
+		if !offerAcked(t, m, p, 6) {
 			t.Fatalf("publish %s still failing after heal", p.ID.Short())
 		}
 		want[p.ID] = true
 	}
 	flushN(t, m, 8)
-	for qi, r := range recallOf(m, []netsim.SiteID{left[0], right[0]}, provenance.KeyDomain, domain, want) {
+	for qi, r := range queryRecall(t, m, []netsim.SiteID{left[0], right[0]}, provenance.KeyDomain, domain, want) {
 		if r != 1.0 {
 			t.Fatalf("querier %d: post-heal recall %v, want 1.0", qi, r)
 		}

@@ -30,6 +30,7 @@ import (
 	"testing"
 
 	"pass/internal/arch"
+	"pass/internal/arch/scenario"
 	"pass/internal/arch/siteview"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
@@ -70,7 +71,7 @@ func testDuplicateSuppression(t *testing.T, cfg Config) {
 	// then bounded maintenance until every site's view fingerprint
 	// matches. Publishes are origin-local and so never lost — both builds
 	// see the identical offered workload.
-	run := func(build func(net *netsim.Network, sites []netsim.SiteID) arch.Model) outcome {
+	run := func(build arch.Builder) outcome {
 		net, sites := netsim.RandomTopology(netsim.Config{}, 6, 4, dupTopoSeed) // 24 sites
 		m := build(net, sites)
 		ve := m.(siteview.Exposer)
@@ -78,11 +79,11 @@ func testDuplicateSuppression(t *testing.T, cfg Config) {
 
 		want := make(map[provenance.ID]bool)
 		offer := func(n int, origin netsim.SiteID, times int) {
-			p := PubN(n, origin,
+			p := scenario.PubN(n, origin,
 				provenance.Attr(provenance.KeyDomain, domain),
 				zoneAttr(t, net, origin))
 			for k := 0; k < times; k++ {
-				if !publishRetry(m, p, 4) {
+				if !offerAcked(t, m, p, 4) {
 					t.Fatalf("publish %d failed", n)
 				}
 			}
@@ -133,7 +134,7 @@ func testDuplicateSuppression(t *testing.T, cfg Config) {
 			}
 			flushN(t, m, 1)
 		}
-		for qi, r := range recallOf(m, []netsim.SiteID{sites[0], victim, sites[23]}, provenance.KeyDomain, domain, want) {
+		for qi, r := range queryRecall(t, m, []netsim.SiteID{sites[0], victim, sites[23]}, provenance.KeyDomain, domain, want) {
 			if r != 1.0 {
 				t.Fatalf("querier %d: recall %v after convergence, want 1.0", qi, r)
 			}
@@ -203,7 +204,7 @@ func testLeaveHandoff(t *testing.T, cfg Config) {
 		pubs := make([]arch.Pub, 0, nRecs)
 		for i := 0; i < nRecs; i++ {
 			origin := sites[(i*11)%len(sites)]
-			p := PubN(i, origin,
+			p := scenario.PubN(i, origin,
 				provenance.Attr(provenance.KeyDomain, domain),
 				zoneAttr(t, net, origin))
 			if _, err := m.Publish(p); err != nil {
@@ -232,7 +233,7 @@ func testLeaveHandoff(t *testing.T, cfg Config) {
 		if frac := float64(recovered) / float64(len(pubs)); frac < 0.99 {
 			t.Fatalf("%s: lookup recall %.3f (%d/%d), want >= 0.99", leg, frac, recovered, len(pubs))
 		}
-		for qi, r := range recallOf(m, queriers, provenance.KeyDomain, domain, want) {
+		for qi, r := range queryRecall(t, m, queriers, provenance.KeyDomain, domain, want) {
 			if r < 0.99 {
 				t.Fatalf("%s: querier %d attribute recall %v, want >= 0.99", leg, qi, r)
 			}

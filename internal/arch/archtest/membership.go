@@ -29,6 +29,7 @@ import (
 	"testing"
 
 	"pass/internal/arch"
+	"pass/internal/arch/scenario"
 	"pass/internal/arch/schedule"
 	"pass/internal/arch/siteview"
 	"pass/internal/netsim"
@@ -61,7 +62,7 @@ func testJoinHandoff(t *testing.T, cfg Config) {
 	pubs := make([]arch.Pub, 0, nRecs)
 	for i := 0; i < nRecs; i++ {
 		origin := members[(i*13)%len(members)]
-		p := PubN(i, origin,
+		p := scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin))
 		if _, err := m.Publish(p); err != nil {
@@ -121,7 +122,7 @@ func testJoinHandoff(t *testing.T, cfg Config) {
 			t.Fatalf("querier %d: lookup recall %.3f after joins (%d/%d), want >= 0.99", q, frac, recovered, nRecs)
 		}
 	}
-	for qi, r := range recallOf(m, []netsim.SiteID{members[0], cold[1]}, provenance.KeyDomain, domain, want) {
+	for qi, r := range queryRecall(t, m, []netsim.SiteID{members[0], cold[1]}, provenance.KeyDomain, domain, want) {
 		if r < 0.99 {
 			t.Fatalf("querier %d: attribute recall %v after joins, want >= 0.99", qi, r)
 		}
@@ -130,7 +131,7 @@ func testJoinHandoff(t *testing.T, cfg Config) {
 	// The new members are full citizens: they publish, and the rest of
 	// the federation finds it.
 	for i, c := range cold {
-		p := PubN(1000+i, c,
+		p := scenario.PubN(1000+i, c,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, c))
 		if _, err := m.Publish(p); err != nil {
@@ -139,7 +140,7 @@ func testJoinHandoff(t *testing.T, cfg Config) {
 		want[p.ID] = true
 	}
 	flush(t, cfg, m)
-	for qi, r := range recallOf(m, []netsim.SiteID{members[1]}, provenance.KeyDomain, domain, want) {
+	for qi, r := range queryRecall(t, m, []netsim.SiteID{members[1]}, provenance.KeyDomain, domain, want) {
 		if r < 0.99 {
 			t.Fatalf("querier %d: recall %v including the joiners' own publications, want >= 0.99", qi, r)
 		}
@@ -166,10 +167,10 @@ func testProactiveRejoin(t *testing.T, cfg Config) {
 	domain := provenance.String("proactive")
 
 	pub := func(n int, origin netsim.SiteID) {
-		p := PubN(n, origin,
+		p := scenario.PubN(n, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin))
-		if !publishRetry(m, p, 4) {
+		if !offerAcked(t, m, p, 4) {
 			t.Fatalf("publish %d failed on a pristine network", n)
 		}
 	}

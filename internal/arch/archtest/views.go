@@ -30,6 +30,7 @@ import (
 	"testing"
 
 	"pass/internal/arch"
+	"pass/internal/arch/scenario"
 	"pass/internal/arch/siteview"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
@@ -69,7 +70,7 @@ func testViewConvergence(t *testing.T, cfg Config) {
 	domain := provenance.String("conv")
 	for i := 0; i < 30; i++ {
 		origin := sites[(i*7)%len(sites)]
-		p := PubN(i, origin,
+		p := scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin))
 		if _, err := m.Publish(p); err != nil {
@@ -131,10 +132,10 @@ func testSplitBrainViews(t *testing.T, cfg Config) {
 		} else {
 			origin = right[(i/2)%len(right)]
 		}
-		p := PubN(i, origin,
+		p := scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin))
-		if !publishRetry(m, p, 4) {
+		if !offerAcked(t, m, p, 4) {
 			t.Fatalf("local publish %d failed under partition", i)
 		}
 		if i%2 == 0 {
@@ -213,7 +214,7 @@ func testSweep10k(t *testing.T, cfg Config) {
 	pubs := make([]arch.Pub, 0, nRecs)
 	for i := 0; i < nRecs; i++ {
 		origin := sites[(i*211)%len(sites)]
-		p := PubN(i, origin,
+		p := scenario.PubN(i, origin,
 			provenance.Attr(provenance.KeyDomain, domain),
 			zoneAttr(t, net, origin))
 		if _, err := m.Publish(p); err != nil {
@@ -225,7 +226,7 @@ func testSweep10k(t *testing.T, cfg Config) {
 	flushN(t, m, 1)
 
 	queriers := []netsim.SiteID{sites[1], sites[len(sites)/2], sites[len(sites)-2]}
-	for qi, r := range recallOf(m, queriers, provenance.KeyDomain, domain, want) {
+	for qi, r := range queryRecall(t, m, queriers, provenance.KeyDomain, domain, want) {
 		if r != 1.0 {
 			t.Fatalf("querier %d: recall %v at 10k sites, want 1.0", qi, r)
 		}
@@ -254,9 +255,9 @@ func testSweep10k(t *testing.T, cfg Config) {
 		origin := sites[(i*977)%len(sites)]
 		var p arch.Pub
 		if i == 0 {
-			p = PubN(2000+i, origin, zoneAttr(t, net, origin))
+			p = scenario.PubN(2000+i, origin, zoneAttr(t, net, origin))
 		} else {
-			p = DerivedN(2000+i, fmt.Sprintf("step-%d", i), origin, chain[i-1])
+			p = scenario.DerivedN(2000+i, fmt.Sprintf("step-%d", i), origin, chain[i-1])
 		}
 		if _, err := m.Publish(p); err != nil {
 			t.Fatalf("chain publish %d: %v", i, err)

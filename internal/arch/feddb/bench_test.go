@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pass/internal/arch/archtest"
+	"pass/internal/arch/scenario"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
 )
@@ -50,7 +51,7 @@ func BenchmarkLookupAtScale(b *testing.B) {
 			m := New(net, sites, 0)
 			ids := make([]provenance.ID, 64)
 			for i := range ids {
-				p := archtest.PubN(i, sites[(i*31)%len(sites)])
+				p := scenario.PubN(i, sites[(i*31)%len(sites)])
 				if _, err := m.Publish(p); err != nil {
 					b.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pass/internal/arch/archtest"
+	"pass/internal/arch/scenario"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
 )
@@ -66,7 +67,7 @@ func BenchmarkLookupAtScale(b *testing.B) {
 			_, sites, m := scaleModel(b, nSites)
 			ids := make([]provenance.ID, 64)
 			for i := range ids {
-				p := archtest.PubN(i, sites[(i*31)%len(sites)],
+				p := scenario.PubN(i, sites[(i*31)%len(sites)],
 					provenance.Attr(provenance.KeyZone, provenance.String("z")))
 				if _, err := m.Publish(p); err != nil {
 					b.Fatal(err)

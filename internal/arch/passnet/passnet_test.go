@@ -6,6 +6,7 @@ import (
 
 	"pass/internal/arch"
 	"pass/internal/arch/archtest"
+	"pass/internal/arch/scenario"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
 )
@@ -361,7 +362,7 @@ func TestViewDeterminismUnderLoss(t *testing.T) {
 		net, sites := netsim.RandomTopology(netsim.Config{LossRate: 0.2, Seed: 77}, 4, 3, 99)
 		m := New(net, sites, Options{})
 		for i := 0; i < 24; i++ {
-			p := archtest.PubN(i, sites[(i*5)%len(sites)],
+			p := scenario.PubN(i, sites[(i*5)%len(sites)],
 				provenance.Attr("domain", provenance.String("det")))
 			if _, err := m.Publish(p); err != nil {
 				t.Fatal(err)
@@ -663,7 +664,7 @@ func TestOutboxRetentionBoundsLeak(t *testing.T) {
 			dead := sites[3]
 			net.Fail(dead)
 			for i := 0; i < rounds; i++ {
-				if _, err := m.Publish(archtest.PubN(i, sites[i%3], provenance.Attr("domain", domain))); err != nil {
+				if _, err := m.Publish(scenario.PubN(i, sites[i%3], provenance.Attr("domain", domain))); err != nil {
 					t.Fatalf("publish %d: %v", i, err)
 				}
 				if err := m.Tick(); err != nil {
@@ -696,7 +697,7 @@ func TestOutboxRetentionBoundsLeak(t *testing.T) {
 		net.Fail(sites[3])
 		const kept = 50
 		for i := 0; i < kept; i++ {
-			if _, err := m.Publish(archtest.PubN(i, sites[i%3], provenance.Attr("domain", domain))); err != nil {
+			if _, err := m.Publish(scenario.PubN(i, sites[i%3], provenance.Attr("domain", domain))); err != nil {
 				t.Fatalf("publish %d: %v", i, err)
 			}
 			if err := m.Tick(); err != nil {

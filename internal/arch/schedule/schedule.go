@@ -41,16 +41,15 @@
 package schedule
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
 	"pass/internal/arch"
+	"pass/internal/arch/scenario"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
-	"pass/internal/ratelimit"
 	"pass/internal/xrand"
 )
 
@@ -474,7 +473,7 @@ const (
 // pure function of (schedule, build). Non-fault errors abort the replay:
 // by the arch.Model fault contract anything that is not an injected
 // unavailability is a model bug.
-func Run(s *Schedule, build func(net *netsim.Network, sites []netsim.SiteID) arch.Model) (Outcome, error) {
+func Run(s *Schedule, build arch.Builder) (Outcome, error) {
 	return RunObserved(s, build, nil)
 }
 
@@ -487,7 +486,7 @@ func Run(s *Schedule, build func(net *netsim.Network, sites []netsim.SiteID) arc
 // the same (schedule, build) are byte-identical to each other — the
 // determinism oracle the soak law applies per round rather than at the
 // endpoint.
-func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.SiteID) arch.Model, obs Observer) (Outcome, error) {
+func RunObserved(s *Schedule, build arch.Builder, obs Observer) (Outcome, error) {
 	cfg := s.Cfg
 	var out Outcome
 	if err := cfg.validate(); err != nil {
@@ -518,26 +517,17 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 	var unacked []arch.Pub
 	seq := 0
 	var roundLat []time.Duration
+	// offer re-offers p (scenario.Offer): an admission refusal is load
+	// shedding, not a fault, so the publish stays unacknowledged.
 	offer := func(p arch.Pub, attempts int) (bool, error) {
-		for a := 0; a < attempts; a++ {
-			d, err := m.Publish(p)
-			if err == nil {
-				roundLat = append(roundLat, d)
-				return true, nil
-			}
-			if ratelimit.Shed(err) {
-				// An admission refusal is load shedding, not a fault:
-				// retrying within the round cannot help (buckets refill
-				// and queues drain on Tick), so the publish stays
-				// unacknowledged.
-				out.Shed++
-				return false, nil
-			}
-			if !arch.IsUnavailable(err) {
-				return false, fmt.Errorf("%s publish: %w", m.Name(), err)
-			}
+		o, err := scenario.Offer(m, p, attempts)
+		if o.Shed {
+			out.Shed++
 		}
-		return false, nil
+		if o.Acked {
+			roundLat = append(roundLat, o.Latency)
+		}
+		return o.Acked, err
 	}
 
 	// pendingJoins holds join events that could not complete this round
@@ -566,22 +556,6 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 		}
 		return false, nil
 	}
-	retryJoins := func() error {
-		live := pendingJoins[:0]
-		for _, site := range pendingJoins {
-			ok, err := admit(site)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out.Joins++
-			} else {
-				live = append(live, site)
-			}
-		}
-		pendingJoins = live
-		return nil
-	}
 
 	// leftIdx marks member indices retired by OpLeave: excluded from the
 	// publish workload from their leave round on. pendingLeaves holds
@@ -605,29 +579,17 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 		}
 		return false, nil
 	}
-	retryLeaves := func() error {
-		live := pendingLeaves[:0]
-		for _, idx := range pendingLeaves {
-			ok, err := depart(idx)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out.Leaves++
-			} else {
-				live = append(live, idx)
-			}
+	retryMembership := func() (err error) {
+		if pendingJoins, err = retryPending(pendingJoins, admit, &out.Joins); err != nil {
+			return err
 		}
-		pendingLeaves = live
-		return nil
+		pendingLeaves, err = retryPending(pendingLeaves, depart, &out.Leaves)
+		return err
 	}
 
 	evIdx := 0
 	for round := 0; round < cfg.Rounds; round++ {
-		if err := retryJoins(); err != nil {
-			return out, err
-		}
-		if err := retryLeaves(); err != nil {
+		if err := retryMembership(); err != nil {
 			return out, err
 		}
 		for evIdx < len(s.Events) && s.Events[evIdx].Round == round {
@@ -639,15 +601,11 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 			case OpHeal:
 				net.Heal(sites[e.Site])
 			case OpJoin:
-				ok, err := admit(sites[e.Site])
+				still, err := retryPending([]netsim.SiteID{sites[e.Site]}, admit, &out.Joins)
 				if err != nil {
 					return out, err
 				}
-				if ok {
-					out.Joins++
-				} else {
-					pendingJoins = append(pendingJoins, sites[e.Site])
-				}
+				pendingJoins = append(pendingJoins, still...)
 			case OpPartition:
 				net.Partition(sites[:e.Cut], sites[e.Cut:])
 			case OpHealPartition:
@@ -658,15 +616,11 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 				net.SetLossRate(0)
 			case OpLeave:
 				leftIdx[e.Site] = true
-				ok, err := depart(e.Site)
+				still, err := retryPending([]int{e.Site}, depart, &out.Leaves)
 				if err != nil {
 					return out, err
 				}
-				if ok {
-					out.Leaves++
-				} else {
-					pendingLeaves = append(pendingLeaves, e.Site)
-				}
+				pendingLeaves = append(pendingLeaves, still...)
 			}
 			if obs != nil {
 				obs.OnEvent(round, e)
@@ -679,10 +633,12 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 			for net.IsDown(members[idx]) || leftIdx[idx] {
 				idx = (idx + 1) % len(members)
 			}
-			p, err := pubN(net, members[idx], seq)
+			zone, err := scenario.ZoneAttr(net, members[idx])
 			if err != nil {
 				return out, err
 			}
+			p := scenario.Raw(seq, 0xE7, members[idx],
+				provenance.Attr(provenance.KeyDomain, provenance.String("membership")), zone)
 			seq++
 			out.Offered++
 			ok, err := offer(p, offerRetries)
@@ -718,10 +674,7 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 	for _, site := range sites {
 		net.Heal(site)
 	}
-	if err := retryJoins(); err != nil {
-		return out, err
-	}
-	if err := retryLeaves(); err != nil {
+	if err := retryMembership(); err != nil {
 		return out, err
 	}
 	for _, p := range unacked {
@@ -743,7 +696,7 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 		if err := m.Tick(); err != nil {
 			return out, fmt.Errorf("%s tick (quiescence): %w", m.Name(), err)
 		}
-		out.Recall = recall(m, queriers, acked)
+		out.Recall = scenario.LookupRecall(m, queriers, acked)
 		if obs != nil {
 			st := net.Stats()
 			obs.OnRound(RoundStats{
@@ -766,6 +719,24 @@ func RunObserved(s *Schedule, build func(net *netsim.Network, sites []netsim.Sit
 	return out, nil
 }
 
+// retryPending attempts each pending membership change with try, counts
+// the ones that complete in *done, and returns those still pending.
+func retryPending[T any](pending []T, try func(T) (bool, error), done *int) ([]T, error) {
+	live := pending[:0]
+	for _, x := range pending {
+		ok, err := try(x)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			*done++
+		} else {
+			live = append(live, x)
+		}
+	}
+	return live, nil
+}
+
 // roundStats probes the live state for an Observer: network totals, up
 // count, and a two-querier recall probe over everything acknowledged so
 // far. Queriers are the first two live, non-departed members (anchors in
@@ -784,59 +755,7 @@ func roundStats(round int, net *netsim.Network, members []netsim.SiteID, leftIdx
 		Recall: 1, Shed: out.Shed, PubLatencies: lats,
 	}
 	if len(queriers) > 0 {
-		rs.Recall = recall(m, queriers, acked)
+		rs.Recall = scenario.LookupRecall(m, queriers, acked)
 	}
 	return rs
-}
-
-// pubN builds the deterministic n-th workload record at origin, tagged
-// with the membership domain plus the origin's zone.
-func pubN(net *netsim.Network, origin netsim.SiteID, n int) (arch.Pub, error) {
-	site, err := net.Site(origin)
-	if err != nil {
-		return arch.Pub{}, err
-	}
-	var digest [32]byte
-	digest[0], digest[1], digest[2] = byte(n), byte(n>>8), 0xE7
-	rec, id, err := provenance.NewRaw(digest, 64).
-		Attrs(
-			provenance.Attr("n", provenance.Int64(int64(n))),
-			provenance.Attr(provenance.KeyDomain, provenance.String("membership")),
-			provenance.Attr(provenance.KeyZone, provenance.String(site.Zone)),
-		).
-		CreatedAt(int64(n) + 1).
-		Build()
-	if err != nil {
-		return arch.Pub{}, err
-	}
-	return arch.Pub{ID: id, Rec: rec, Origin: origin}, nil
-}
-
-// recall is the mean fraction of acknowledged publishes each querier can
-// resolve by Lookup — the probe that touches every record's home, which
-// is where membership change tears holes. Probes run in sorted ID order:
-// under an active loss burst the network's drop draws are consumed per
-// send, so map-order iteration would make the byte accounting (and
-// marginally the recall itself) depend on Go's map seed instead of the
-// schedule seed.
-func recall(m arch.Model, queriers []netsim.SiteID, acked map[provenance.ID]bool) float64 {
-	if len(acked) == 0 {
-		return 1
-	}
-	ids := make([]provenance.ID, 0, len(acked))
-	for id := range acked {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return bytes.Compare(ids[i][:], ids[j][:]) < 0 })
-	total := 0.0
-	for _, q := range queriers {
-		hit := 0
-		for _, id := range ids {
-			if _, _, err := m.Lookup(q, id); err == nil {
-				hit++
-			}
-		}
-		total += float64(hit) / float64(len(ids))
-	}
-	return total / float64(len(queriers))
 }

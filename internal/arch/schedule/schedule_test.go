@@ -161,7 +161,7 @@ func TestRunLeaveConventions(t *testing.T) {
 		}
 	}
 
-	builds := map[string]func(net *netsim.Network, sites []netsim.SiteID) arch.Model{
+	builds := map[string]arch.Builder{
 		"dht":     func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return dht.New(net, sites) },
 		"central": func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return central.New(net, sites[0]) },
 	}
@@ -228,7 +228,7 @@ func TestScheduleStringReplayable(t *testing.T) {
 // bytes charged), central runs the fail-at-start convention — and a
 // same-seed replay is byte-identical.
 func TestRunOracleAndDeterminism(t *testing.T) {
-	builds := map[string]func(net *netsim.Network, sites []netsim.SiteID) arch.Model{
+	builds := map[string]arch.Builder{
 		"dht": func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
 			return dht.New(net, sites)
 		},

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"pass/internal/arch"
-	"pass/internal/arch/archtest"
+	"pass/internal/arch/scenario"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
 )
@@ -21,7 +21,7 @@ func TestViewfulIndexViewsConverge(t *testing.T) {
 	domain := provenance.String("vf")
 	pubs := make([]arch.Pub, 0, 24)
 	for i := 0; i < 24; i++ {
-		p := archtest.PubN(i, sites[i%len(sites)], provenance.Attr("domain", domain))
+		p := scenario.PubN(i, sites[i%len(sites)], provenance.Attr("domain", domain))
 		if _, err := m.Publish(p); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
@@ -78,7 +78,7 @@ func TestViewfulSplitBrainAtIndexTier(t *testing.T) {
 		}
 		// Publishing is local and never blocked; only the refresh's reach
 		// is partitioned.
-		if _, err := m.Publish(archtest.PubN(i, side[(i/2)%len(side)], provenance.Attr("domain", domain))); err != nil {
+		if _, err := m.Publish(scenario.PubN(i, side[(i/2)%len(side)], provenance.Attr("domain", domain))); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}

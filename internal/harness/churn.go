@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"pass/internal/arch"
-	"pass/internal/arch/central"
 	"pass/internal/arch/dht"
-	"pass/internal/arch/passnet"
-	"pass/internal/arch/softstate"
+	"pass/internal/arch/scenario"
 	"pass/internal/metrics"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
@@ -50,31 +48,12 @@ func (r *Runner) E16Churn() (*Result, error) {
 	churnPubs := r.scale.n(40)
 	const healRounds = 8
 
-	type entrant struct {
-		label  string
+	// passnet rejoins its recovered sites through the snapshot path
+	// (arch.Rejoiner); passnet-replay recovers by outbox replay alone.
+	entrants := []struct {
+		name   string
 		rejoin bool
-		build  func(net *netsim.Network, sites []netsim.SiteID) arch.Model
-	}
-	roster := []entrant{
-		{"central", false, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return central.New(net, sites[0])
-		}},
-		{"softstate", false, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return softstate.New(net, sites, sites[:2], 1)
-		}},
-		{"dht", false, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return dht.New(net, sites)
-		}},
-		{"passnet", true, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{})
-		}},
-		// The replay row must really replay: ManualRejoin switches off the
-		// proactive snapshot a recovered site would otherwise take inside
-		// Tick, leaving outbox anti-entropy as the only recovery path.
-		{"passnet-replay", false, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{ManualRejoin: true})
-		}},
-	}
+	}{{"central", false}, {"softstate", false}, {"dht", false}, {"passnet", true}, {"passnet-replay", false}}
 
 	type cell struct {
 		nSites, ci, mi int
@@ -83,7 +62,7 @@ func (r *Runner) E16Churn() (*Result, error) {
 	var cells []cell
 	for _, nSites := range []int{16, 64} {
 		for ci, crashFrac := range []float64{0.125, 0.25} {
-			for mi := range roster {
+			for mi := range entrants {
 				cells = append(cells, cell{nSites, ci, mi, crashFrac})
 			}
 		}
@@ -98,11 +77,11 @@ func (r *Runner) E16Churn() (*Result, error) {
 	outs, err := runCells(r, cells, func(c cell) (out, error) {
 		nSites := c.nSites
 		nVictims := int(float64(nSites) * c.crashFrac)
-		ent := roster[c.mi]
+		ent := entrants[c.mi]
 		net, sites := netsim.RandomTopology(netsim.Config{
 			Seed: uint64(nSites*1000 + c.ci*100 + c.mi + 1),
 		}, nSites/sitesPerZone, sitesPerZone, uint64(16000+nSites))
-		m := ent.build(net, sites)
+		m := entrant(ent.name)(net, sites)
 
 		// Victims: an even stride over the roster, never the service
 		// anchors at sites[0] and sites[1] (central's warehouse,
@@ -129,20 +108,26 @@ func (r *Runner) E16Churn() (*Result, error) {
 			return out{}, err
 		}
 		var unacked []arch.Pub
-		for _, p := range pubs {
-			ok, err := churnOffer(m, p, 4)
-			if err != nil {
-				return out{}, err
+		offer := func(pubs []arch.Pub) error {
+			for _, p := range pubs {
+				o, err := scenario.Offer(m, p, 4)
+				if err != nil {
+					return err
+				}
+				if o.Acked {
+					acked[p.ID] = true
+				} else {
+					unacked = append(unacked, p)
+				}
 			}
-			if ok {
-				acked[p.ID] = true
-			} else {
-				unacked = append(unacked, p)
-			}
+			return nil
+		}
+		if err := offer(pubs); err != nil {
+			return out{}, err
 		}
 		for i := 0; i < 2; i++ {
 			if err := m.Tick(); err != nil {
-				return out{}, fmt.Errorf("%s tick: %w", ent.label, err)
+				return out{}, fmt.Errorf("%s tick: %w", ent.name, err)
 			}
 		}
 
@@ -154,29 +139,21 @@ func (r *Runner) E16Churn() (*Result, error) {
 		if err != nil {
 			return out{}, err
 		}
-		for _, p := range morePubs {
-			ok, err := churnOffer(m, p, 4)
-			if err != nil {
-				return out{}, err
-			}
-			if ok {
-				acked[p.ID] = true
-			} else {
-				unacked = append(unacked, p)
-			}
+		if err := offer(morePubs); err != nil {
+			return out{}, err
 		}
 
 		queriers := liveQueriers(sites, isVictim)
-		recallDown := churnRecall(m, queriers, acked)
+		recallDown := scenario.LookupRecall(m, queriers, acked)
 
 		// Phase 3: maintenance with the victims still down — the
 		// stabilization window.
 		for i := 0; i < 3; i++ {
 			if err := m.Tick(); err != nil {
-				return out{}, fmt.Errorf("%s tick: %w", ent.label, err)
+				return out{}, fmt.Errorf("%s tick: %w", ent.name, err)
 			}
 		}
-		recallStab := churnRecall(m, queriers, acked)
+		recallStab := scenario.LookupRecall(m, queriers, acked)
 
 		// Phase 4: heal; rejoiners take the snapshot path; failed
 		// publishes are re-offered (idempotent); rounds until the
@@ -188,16 +165,16 @@ func (r *Runner) E16Churn() (*Result, error) {
 		if rej, ok := m.(arch.Rejoiner); ok && ent.rejoin {
 			for _, v := range victims {
 				if _, err := rej.Rejoin(v); err != nil {
-					return out{}, fmt.Errorf("%s rejoin of %d: %w", ent.label, v, err)
+					return out{}, fmt.Errorf("%s rejoin of %d: %w", ent.name, v, err)
 				}
 			}
 		}
 		for _, p := range unacked {
-			ok, err := churnOffer(m, p, 6)
+			o, err := scenario.Offer(m, p, 6)
 			if err != nil {
 				return out{}, err
 			}
-			if ok {
+			if o.Acked {
 				acked[p.ID] = true
 			}
 		}
@@ -209,7 +186,7 @@ func (r *Runner) E16Churn() (*Result, error) {
 		probeBytes := int64(0)
 		probe := func() float64 {
 			b0 := net.Stats().Bytes
-			rec := churnRecall(m, healQueriers, acked)
+			rec := scenario.LookupRecall(m, healQueriers, acked)
 			probeBytes += net.Stats().Bytes - b0
 			return rec
 		}
@@ -219,11 +196,11 @@ func (r *Runner) E16Churn() (*Result, error) {
 				break
 			}
 			if err := m.Tick(); err != nil {
-				return out{}, fmt.Errorf("%s tick: %w", ent.label, err)
+				return out{}, fmt.Errorf("%s tick: %w", ent.name, err)
 			}
 		}
 		recBytes := net.Stats().Bytes - statsAtHeal.Bytes - probeBytes
-		recallHeal := churnRecall(m, healQueriers, acked)
+		recallHeal := scenario.LookupRecall(m, healQueriers, acked)
 
 		rehomed := int64(0)
 		if d, ok := m.(*dht.Model); ok {
@@ -241,7 +218,7 @@ func (r *Runner) E16Churn() (*Result, error) {
 	for i, c := range cells {
 		o := outs[i]
 		churnPct := int(c.crashFrac * 100)
-		label := roster[c.mi].label
+		label := entrants[c.mi].name
 		table.AddRow(label, c.nSites, fmt.Sprintf("%d%%", churnPct),
 			fmt.Sprintf("%d/%d", o.acked, prePubs+churnPubs),
 			fmt.Sprintf("%.3f", o.recallDown), fmt.Sprintf("%.3f", o.recallStab),
@@ -269,23 +246,6 @@ func (r *Runner) E16Churn() (*Result, error) {
 	}, nil
 }
 
-// churnOffer re-offers a publish up to attempts times (idempotent per the
-// fault contract) and reports whether it was acknowledged. Injected
-// faults exhaust the attempts and read as unacked; any other error is a
-// model bug and aborts the experiment (E14's client model).
-func churnOffer(m arch.Model, p arch.Pub, attempts int) (bool, error) {
-	for a := 0; a < attempts; a++ {
-		_, err := m.Publish(p)
-		if err == nil {
-			return true, nil
-		}
-		if !arch.IsUnavailable(err) {
-			return false, fmt.Errorf("%s publish: %w", m.Name(), err)
-		}
-	}
-	return false, nil
-}
-
 // liveQueriers picks three well-spread non-victim query sites.
 func liveQueriers(sites []netsim.SiteID, isVictim map[netsim.SiteID]bool) []netsim.SiteID {
 	out := make([]netsim.SiteID, 0, 3)
@@ -296,28 +256,4 @@ func liveQueriers(sites []netsim.SiteID, isVictim map[netsim.SiteID]bool) []nets
 		out = append(out, sites[idx%len(sites)])
 	}
 	return out
-}
-
-// churnRecall is the mean fraction of acknowledged publishes each querier
-// can still RESOLVE — one Lookup per acknowledged record, so the probe
-// touches every record's home rather than the single posting node an
-// attribute query would (each model's internal retries apply; a record
-// whose home is unreachable scores as missing). Lookup targets spread
-// across the whole ring/federation, which is exactly where churn tears
-// holes.
-func churnRecall(m arch.Model, queriers []netsim.SiteID, acked map[provenance.ID]bool) float64 {
-	if len(acked) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, q := range queriers {
-		hit := 0
-		for id := range acked {
-			if _, _, err := m.Lookup(q, id); err == nil {
-				hit++
-			}
-		}
-		total += float64(hit) / float64(len(acked))
-	}
-	return total / float64(len(queriers))
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"pass/internal/arch"
-	"pass/internal/arch/dht"
-	"pass/internal/arch/passnet"
+	"pass/internal/arch/roster"
+	"pass/internal/arch/scenario"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
 )
@@ -46,62 +46,41 @@ const attempts = 4
 
 const domain = "xcheck"
 
-// schedulePubs builds the schedule's deterministic publish stream:
-// record i originates at node (i*7) mod N — the taggedPubs rotation.
-func schedulePubs(sc Schedule) ([]*provenance.Record, []int, error) {
-	recs := make([]*provenance.Record, 0, sc.Pubs)
-	origins := make([]int, 0, sc.Pubs)
-	for i := 0; i < sc.Pubs; i++ {
-		var digest [32]byte
-		digest[0], digest[1] = byte(i), byte(i>>8)
-		digest[2] = byte(sc.Seed)
-		rec, _, err := provenance.NewRaw(digest, 64).
-			Attrs(
-				provenance.Attr("n", provenance.Int64(int64(i))),
-				provenance.Attr(provenance.KeyDomain, provenance.String(domain)),
-			).
-			CreatedAt(int64(i) + 1).
-			Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		recs = append(recs, rec)
-		origins = append(origins, (i*7)%sc.Nodes)
+// schedulePubs builds the schedule's deterministic publish stream
+// (scenario.Raw, tagged with the seed): record i originates at node
+// (i*7) mod N — the taggedPubs rotation. Origin holds that node index;
+// each backend maps it onto its own sites.
+func schedulePubs(sc Schedule) []arch.Pub {
+	pubs := make([]arch.Pub, sc.Pubs)
+	for i := range pubs {
+		pubs[i] = scenario.Raw(i, byte(sc.Seed), netsim.SiteID((i*7)%sc.Nodes),
+			provenance.Attr(provenance.KeyDomain, provenance.String(domain)))
 	}
-	return recs, origins, nil
+	return pubs
 }
 
-// SimRecall runs the schedule on netsim with the named model ("passnet"
-// or "dht") — the E14/E16 row this schedule's real run is checked
-// against.
+// SimRecall runs the schedule on netsim with the named roster model
+// ("passnet" or "dht" in the cross-check) — the E14/E16 row this
+// schedule's real run is checked against.
 func SimRecall(mode string, sc Schedule) (float64, error) {
+	build, ok := roster.Lookup(mode)
+	if !ok {
+		return 0, fmt.Errorf("crosscheck: unknown mode %q", mode)
+	}
 	net, sites := netsim.RandomTopology(netsim.Config{
 		LossRate: sc.Loss, Seed: sc.Seed,
 	}, 1, sc.Nodes, sc.Seed+9000)
-	var m arch.Model
-	switch mode {
-	case "passnet":
-		m = passnet.New(net, sites, passnet.Options{})
-	case "dht":
-		m = dht.New(net, sites)
-	default:
-		return 0, fmt.Errorf("crosscheck: unknown mode %q", mode)
-	}
+	m := build(net, sites)
 
-	recs, origins, err := schedulePubs(sc)
-	if err != nil {
-		return 0, err
-	}
-	acked := make(map[provenance.ID]bool, len(recs))
-	for i, rec := range recs {
-		p := arch.Pub{ID: rec.ComputeID(), Rec: rec, Origin: sites[origins[i]]}
-		for a := 0; a < attempts; a++ {
-			if _, err := m.Publish(p); err == nil {
-				acked[p.ID] = true
-				break
-			} else if !arch.IsUnavailable(err) {
-				return 0, fmt.Errorf("sim publish: %w", err)
-			}
+	acked := make(map[provenance.ID]bool, sc.Pubs)
+	for _, p := range schedulePubs(sc) {
+		p.Origin = sites[p.Origin]
+		o, err := scenario.Offer(m, p, attempts)
+		if err != nil {
+			return 0, err
+		}
+		if o.Acked {
+			acked[p.ID] = true
 		}
 	}
 	if sc.KillNode >= 0 {
@@ -116,28 +95,21 @@ func SimRecall(mode string, sc Schedule) (float64, error) {
 		return 0, fmt.Errorf("sim: nothing acked")
 	}
 
-	recall, queriers := 0.0, 0
+	var queriers []netsim.SiteID
 	for i, s := range sites {
-		if i == sc.KillNode {
-			continue
+		if i != sc.KillNode {
+			queriers = append(queriers, s)
 		}
-		queriers++
-		got, _, err := m.QueryAttr(s, provenance.KeyDomain, provenance.String(domain))
-		if err != nil {
-			if arch.IsUnavailable(err) {
-				continue
-			}
-			return 0, fmt.Errorf("sim query: %w", err)
-		}
-		hit := 0
-		for _, id := range got {
-			if acked[id] {
-				hit++
-			}
-		}
-		recall += float64(hit) / float64(len(acked))
 	}
-	return recall / float64(queriers), nil
+	per, _, err := scenario.QueryRecall(m, queriers, provenance.KeyDomain, provenance.String(domain), acked, 1)
+	if err != nil {
+		return 0, err
+	}
+	recall := 0.0
+	for _, r := range per {
+		recall += r
+	}
+	return recall / float64(len(queriers)), nil
 }
 
 // RealRecall runs the same schedule against a live cluster: real
@@ -150,22 +122,15 @@ func RealRecall(c *Cluster, sc Schedule) (float64, error) {
 			return 0, err
 		}
 	}
-	recs, origins, err := schedulePubs(sc)
-	if err != nil {
-		return 0, err
-	}
-	acked := make(map[provenance.ID]bool, len(recs))
-	for i, rec := range recs {
-		var lastErr error
+	acked := make(map[provenance.ID]bool, sc.Pubs)
+	for _, p := range schedulePubs(sc) {
+		// An unacked publish simply isn't scored, as in E14.
 		for a := 0; a < attempts; a++ {
-			id, err := c.Client().Put(c.Addr(origins[i]), rec)
-			if err == nil {
+			if id, err := c.Client().Put(c.Addr(int(p.Origin)), p.Rec); err == nil {
 				acked[id] = true
 				break
 			}
-			lastErr = err
 		}
-		_ = lastErr // an unacked publish simply isn't scored, as in E14
 	}
 	if sc.KillNode >= 0 {
 		if err := c.Kill(sc.KillNode); err != nil {

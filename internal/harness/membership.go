@@ -3,14 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"pass/internal/arch"
-	"pass/internal/arch/central"
-	"pass/internal/arch/dht"
-	"pass/internal/arch/passnet"
 	"pass/internal/arch/schedule"
-	"pass/internal/arch/softstate"
 	"pass/internal/metrics"
-	"pass/internal/netsim"
 )
 
 // E17Membership — the elastic-membership dimension of survivability.
@@ -52,32 +46,14 @@ func (r *Runner) E17Membership() (*Result, error) {
 		"leaves", "leave-bytes", "gossip-bytes", "dup-supp", "pull-rounds")
 	findings := map[string]float64{}
 
-	type entrant struct {
-		label string
-		// metered marks models implementing arch.GossipMeter, whose rows
-		// carry live gossip columns instead of "-".
+	// metered marks models implementing arch.GossipMeter, whose rows carry
+	// live gossip columns instead of "-". passnet-eff runs the same
+	// schedule as passnet with efficient dissemination: dupemap
+	// suppression, coalesced envelopes, armed anti-entropy pulls.
+	entrants := []struct {
+		name    string
 		metered bool
-		build   func(net *netsim.Network, sites []netsim.SiteID) arch.Model
-	}
-	roster := []entrant{
-		{"central", false, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return central.New(net, sites[0])
-		}},
-		{"softstate", false, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return softstate.New(net, sites, sites[:2], 1)
-		}},
-		{"dht", false, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return dht.New(net, sites)
-		}},
-		{"passnet", true, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{})
-		}},
-		// Same schedule as the row above, efficient dissemination: dupemap
-		// suppression, coalesced envelopes, armed anti-entropy pulls.
-		{"passnet-eff", true, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{EfficientGossip: true, PullEvery: 1})
-		}},
-	}
+	}{{"central", false}, {"softstate", false}, {"dht", false}, {"passnet", true}, {"passnet-eff", true}}
 
 	type cell struct {
 		nSites, ri, mi int
@@ -86,21 +62,14 @@ func (r *Runner) E17Membership() (*Result, error) {
 	var cells []cell
 	for _, nSites := range []int{16, 64} {
 		for ri, rate := range []float64{0.25, 0.75} {
-			for mi := range roster {
+			for mi := range entrants {
 				cells = append(cells, cell{nSites, ri, mi, rate})
 			}
 		}
 	}
 	type out struct {
-		events, joins  int
-		acked, offered int
-		recall         float64
-		convRounds     int
-		handoffBytes   int64
-		leaves         int
-		leaveBytes     int64
-		gossip         arch.GossipStats
-		metered        bool
+		events int
+		schedule.Outcome
 	}
 	outs, err := runCells(r, cells, func(c cell) (out, error) {
 		rateLabel := []string{"lo", "hi"}[c.ri]
@@ -122,20 +91,13 @@ func (r *Runner) E17Membership() (*Result, error) {
 		// parallel cells never share a Schedule value.
 		seed := uint64(17000 + c.nSites*10 + c.ri)
 		sched := schedule.Generate(seed, cfg)
-		ent := roster[c.mi]
-		o, err := schedule.Run(sched, ent.build)
+		ent := entrants[c.mi]
+		o, err := schedule.Run(sched, entrant(ent.name))
 		if err != nil {
 			return out{}, fmt.Errorf("%s (n=%d rate=%s): %w\nschedule:\n%s",
-				ent.label, c.nSites, rateLabel, err, sched)
+				ent.name, c.nSites, rateLabel, err, sched)
 		}
-		return out{
-			events: len(sched.Events), joins: o.Joins,
-			acked: o.Acked, offered: o.Offered,
-			recall: o.Recall, convRounds: o.ConvRounds, handoffBytes: o.HandoffBytes,
-			leaves: o.Leaves, leaveBytes: o.LeaveBytes,
-			gossip:  arch.GossipStats{Bytes: o.GossipBytes, DupSuppressed: o.DupSuppressed, PullRounds: o.PullRounds},
-			metered: ent.metered,
-		}, nil
+		return out{len(sched.Events), o}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -143,28 +105,28 @@ func (r *Runner) E17Membership() (*Result, error) {
 	for i, c := range cells {
 		o := outs[i]
 		rateLabel := []string{"lo", "hi"}[c.ri]
-		label := roster[c.mi].label
+		ent := entrants[c.mi]
 		gb, ds, pr := any("-"), any("-"), any("-")
-		if o.metered {
-			gb, ds, pr = o.gossip.Bytes, o.gossip.DupSuppressed, o.gossip.PullRounds
+		if ent.metered {
+			gb, ds, pr = o.GossipBytes, o.DupSuppressed, o.PullRounds
 		}
-		table.AddRow(label, c.nSites, rateLabel, o.events, o.joins,
-			fmt.Sprintf("%d/%d", o.acked, o.offered),
-			fmt.Sprintf("%.3f", o.recall), o.convRounds, o.handoffBytes,
-			o.leaves, o.leaveBytes, gb, ds, pr)
-		tag := fmt.Sprintf("%s_n%d_r%s", label, c.nSites, rateLabel)
-		findings["recall_"+tag] = o.recall
-		findings["acked_"+tag] = float64(o.acked)
-		findings["joins_"+tag] = float64(o.joins)
-		findings["rounds_"+tag] = float64(o.convRounds)
-		findings["handoff_"+tag] = float64(o.handoffBytes)
+		table.AddRow(ent.name, c.nSites, rateLabel, o.events, o.Joins,
+			fmt.Sprintf("%d/%d", o.Acked, o.Offered),
+			fmt.Sprintf("%.3f", o.Recall), o.ConvRounds, o.HandoffBytes,
+			o.Leaves, o.LeaveBytes, gb, ds, pr)
+		tag := fmt.Sprintf("%s_n%d_r%s", ent.name, c.nSites, rateLabel)
+		findings["recall_"+tag] = o.Recall
+		findings["acked_"+tag] = float64(o.Acked)
+		findings["joins_"+tag] = float64(o.Joins)
+		findings["rounds_"+tag] = float64(o.ConvRounds)
+		findings["handoff_"+tag] = float64(o.HandoffBytes)
 		findings["events_"+tag] = float64(o.events)
-		findings["leaves_"+tag] = float64(o.leaves)
-		findings["leavebytes_"+tag] = float64(o.leaveBytes)
-		if o.metered {
-			findings["gossip_"+tag] = float64(o.gossip.Bytes)
-			findings["dupsupp_"+tag] = float64(o.gossip.DupSuppressed)
-			findings["pulls_"+tag] = float64(o.gossip.PullRounds)
+		findings["leaves_"+tag] = float64(o.Leaves)
+		findings["leavebytes_"+tag] = float64(o.LeaveBytes)
+		if ent.metered {
+			findings["gossip_"+tag] = float64(o.GossipBytes)
+			findings["dupsupp_"+tag] = float64(o.DupSuppressed)
+			findings["pulls_"+tag] = float64(o.PullRounds)
 		}
 	}
 	return &Result{

@@ -7,10 +7,9 @@ import (
 	"pass/internal/arch"
 	"pass/internal/arch/central"
 	"pass/internal/arch/dht"
-	"pass/internal/arch/distdb"
-	"pass/internal/arch/feddb"
 	"pass/internal/arch/hier"
 	"pass/internal/arch/passnet"
+	"pass/internal/arch/roster"
 	"pass/internal/arch/softstate"
 	"pass/internal/geo"
 	"pass/internal/metrics"
@@ -107,11 +106,10 @@ func (r *Runner) E5UpdateScalability() (*Result, error) {
 	findings := map[string]float64{}
 
 	perSite := r.scale.n(40)
-	roster := modelRoster()
 	type cell struct{ n, mi int }
 	var cells []cell
 	for _, n := range []int{4, 8, 16} {
-		for mi := range roster {
+		for mi := range comparison {
 			cells = append(cells, cell{n, mi})
 		}
 	}
@@ -131,7 +129,7 @@ func (r *Runner) E5UpdateScalability() (*Result, error) {
 			WindowDur: time.Hour, Seed: uint64(500 + c.n),
 		})
 		net, sites := newGrid(c.n)
-		m := roster[c.mi](net, sites)
+		m := entrant(comparison[c.mi])(net, sites)
 		pubs, err := genPubs(sets, clock, func(i int, g workload.GenSet) netsim.SiteID {
 			return sites[zoneIndex(g.Zone)%len(sites)]
 		})
@@ -199,34 +197,18 @@ func zoneIndex(zone string) int {
 	return n
 }
 
-// modelRoster returns one builder per Section IV architecture, in the
-// standard comparison configuration (warehouse at sites[0], two distdb
-// replicas, two soft-state index nodes, zone-primary hierarchy, batched
-// passnet digests). Shared by E5 and E14.
-func modelRoster() []func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-	return []func(net *netsim.Network, sites []netsim.SiteID) arch.Model{
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return central.New(net, sites[0]) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return distdb.New(net, sites, 2) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return feddb.New(net, sites, 0) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			idx := sites[:1]
-			if len(sites) > 2 {
-				idx = sites[:2]
-			}
-			return softstate.New(net, sites, idx, 1)
-		},
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			h, err := hier.New(net, sites, []string{provenance.KeyZone, provenance.KeySensorClass})
-			if err != nil {
-				panic(err)
-			}
-			return h
-		},
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return dht.New(net, sites) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{})
-		},
+// comparison is the Section IV roster in its standard configuration
+// (package roster): the seven architectures E5 and E14 compare.
+var comparison = []string{"central", "distdb", "feddb", "softstate", "hier", "dht", "passnet"}
+
+// entrant returns the named roster builder. The experiments name only
+// roster entrants, so a miss is a typo in this package.
+func entrant(name string) arch.Builder {
+	b, ok := roster.Lookup(name)
+	if !ok {
+		panic("harness: no roster entrant " + name)
 	}
+	return b
 }
 
 // E6Locality — §III-D and the Pier observation: a Boston consumer querying
@@ -238,20 +220,27 @@ func (r *Runner) E6Locality() (*Result, error) {
 
 	k := r.scale.n(60)
 	queries := r.scale.n(30)
-	builders := worldBuilders()
-	cells := make([]int, len(builders))
-	for i := range cells {
-		cells[i] = i
-	}
+	// The world-city roster: central's warehouse and softstate's index
+	// sit in tokyo, far from boston, and passnet gossips digests at
+	// publish time so results are fresh.
+	cells := []string{"central", "distdb", "feddb", "softstate", "hier", "dht", "passnet-immediate"}
 	type out struct {
 		name    string
 		meanMs  float64
 		wan     int64
 		wanMsgs int64
 	}
-	outs, err := runCells(r, cells, func(mi int) (out, error) {
+	outs, err := runCells(r, cells, func(name string) (out, error) {
 		net, sites := newWorld()
-		m := builders[mi](net, sites)
+		var m arch.Model
+		switch name {
+		case "central":
+			m = central.New(net, sites[8]) // tokyo-producer hosts the warehouse
+		case "softstate":
+			m = softstate.New(net, sites, sites[8:9], 1)
+		default:
+			m = entrant(name)(net, sites)
+		}
 		producer, consumer := sites[0], sites[1] // boston pair (see newWorld)
 		clock := monotonicClock()
 		sets := workload.Generate(workload.Config{
@@ -309,33 +298,6 @@ func (r *Runner) E6Locality() (*Result, error) {
 			"shape check: passnet/feddb/hier answer in-zone; central always crosses to the warehouse; dht scatters to random homes",
 		},
 	}, nil
-}
-
-// worldBuilders returns the roster for the world-city topology. The
-// central warehouse is deliberately placed in tokyo (far from boston) and
-// passnet runs with immediate digests so results are fresh.
-func worldBuilders() []func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-	return []func(net *netsim.Network, sites []netsim.SiteID) arch.Model{
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return central.New(net, sites[8]) // tokyo-producer hosts the warehouse
-		},
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return distdb.New(net, sites, 2) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return feddb.New(net, sites, 0) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return softstate.New(net, sites, sites[8:9], 1)
-		},
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			h, err := hier.New(net, sites, []string{provenance.KeyZone, provenance.KeySensorClass})
-			if err != nil {
-				panic(err)
-			}
-			return h
-		},
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return dht.New(net, sites) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{ImmediateDigest: true})
-		},
-	}
 }
 
 // E7SoftStateStaleness — §IV-B: recall vs refresh period.
@@ -600,15 +562,14 @@ func (r *Runner) E11DistributedClosure() (*Result, error) {
 	if depth < 8 {
 		depth = 8
 	}
-	builders := closureBuilders()
 	type cell struct {
 		span int
-		mi   int
+		name string
 	}
 	var cells []cell
 	for _, span := range []int{1, 4, 8} {
-		for mi := range builders {
-			cells = append(cells, cell{span, mi})
+		for _, name := range []string{"central", "softstate", "dht", "feddb", "passnet-immediate"} {
+			cells = append(cells, cell{span, name})
 		}
 	}
 	type out struct {
@@ -618,7 +579,7 @@ func (r *Runner) E11DistributedClosure() (*Result, error) {
 	}
 	outs, err := runCells(r, cells, func(c cell) (out, error) {
 		net, sites := newGrid(16)
-		m := builders[c.mi](net, sites)
+		m := entrant(c.name)(net, sites)
 		clock := monotonicClock()
 		origins := sites[:c.span]
 		pubs, err := chainPubs(depth, origins, clock)
@@ -666,20 +627,6 @@ func (r *Runner) E11DistributedClosure() (*Result, error) {
 	}, nil
 }
 
-func closureBuilders() []func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-	return []func(net *netsim.Network, sites []netsim.SiteID) arch.Model{
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return central.New(net, sites[0]) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return softstate.New(net, sites, sites[:2], 1)
-		},
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return dht.New(net, sites) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return feddb.New(net, sites, 0) },
-		func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{ImmediateDigest: true})
-		},
-	}
-}
-
 // E13ResourceCrossover — §IV Resource Consumption: "If distributed,
 // updates may use a lot of network bandwidth; if centralized, query
 // traffic may instead." Sweep the query:update ratio and find where each
@@ -694,17 +641,9 @@ func (r *Runner) E13ResourceCrossover() (*Result, error) {
 
 	// variant 0 = central, 1 = passnet-immediate, 2 = passnet-batched.
 	variants := []struct {
-		build   func(net *netsim.Network, sites []netsim.SiteID) arch.Model
+		name    string
 		batched bool
-	}{
-		{func(net *netsim.Network, sites []netsim.SiteID) arch.Model { return central.New(net, sites[0]) }, false},
-		{func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{ImmediateDigest: true})
-		}, false},
-		{func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{})
-		}, true},
-	}
+	}{{"central", false}, {"passnet-immediate", false}, {"passnet", true}}
 	type cell struct {
 		ratio float64
 		vi    int
@@ -723,7 +662,7 @@ func (r *Runner) E13ResourceCrossover() (*Result, error) {
 			updates = 1
 		}
 		net, sites := newGrid(16)
-		m := variants[c.vi].build(net, sites)
+		m := entrant(variants[c.vi].name)(net, sites)
 		batched := variants[c.vi].batched
 		clock := monotonicClock()
 		rng := workload.NewRand(uint64(1000 * (1 + c.ratio)))
@@ -785,7 +724,7 @@ func (r *Runner) E13ResourceCrossover() (*Result, error) {
 		}
 		table.AddRow(fmt.Sprintf("%.2f", ratio), centralBytes, pnImmBytes, pnBatchBytes, winner)
 		findings[fmt.Sprintf("central_%.2f", ratio)] = float64(centralBytes)
-		findings[fmt.Sprintf("passnet_%.2f", ratio)] = float64(minI64(pnImmBytes, pnBatchBytes))
+		findings[fmt.Sprintf("passnet_%.2f", ratio)] = float64(min(pnImmBytes, pnBatchBytes))
 	}
 	return &Result{
 		ID:       "E13",
@@ -796,11 +735,4 @@ func (r *Runner) E13ResourceCrossover() (*Result, error) {
 			"the paper's tension verbatim: distributed pays on updates (digest fan-out), central pays on queries (every query crosses the WAN); the winner flips with the ratio",
 		},
 	}, nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,13 +6,7 @@ import (
 	"time"
 
 	"pass/internal/arch"
-	"pass/internal/arch/central"
-	"pass/internal/arch/dht"
-	"pass/internal/arch/distdb"
-	"pass/internal/arch/feddb"
-	"pass/internal/arch/hier"
-	"pass/internal/arch/passnet"
-	"pass/internal/arch/softstate"
+	"pass/internal/arch/scenario"
 	"pass/internal/metrics"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
@@ -38,26 +32,13 @@ const (
 // hierarchy's partition key) plus a Zipf-drawn "hot" attribute bucket the
 // closed-loop queries chase.
 func overloadPub(net *netsim.Network, origin netsim.SiteID, seq, hotKey int) (arch.Pub, error) {
-	s, err := net.Site(origin)
+	zone, err := scenario.ZoneAttr(net, origin)
 	if err != nil {
 		return arch.Pub{}, err
 	}
-	var digest [32]byte
-	digest[0], digest[1], digest[2] = byte(seq), byte(seq>>8), 0xE8
-	digest[3] = byte(seq >> 16)
-	rec, id, err := provenance.NewRaw(digest, 64).
-		Attrs(
-			provenance.Attr("n", provenance.Int64(int64(seq))),
-			provenance.Attr(provenance.KeyDomain, provenance.String("overload")),
-			provenance.Attr(provenance.KeyZone, provenance.String(s.Zone)),
-			provenance.Attr("hot", provenance.String(fmt.Sprintf("h%d", hotKey))),
-		).
-		CreatedAt(int64(seq) + 1).
-		Build()
-	if err != nil {
-		return arch.Pub{}, err
-	}
-	return arch.Pub{ID: id, Rec: rec, Origin: origin}, nil
+	return scenario.Raw(seq, 0xE8, origin,
+		provenance.Attr(provenance.KeyDomain, provenance.String("overload")), zone,
+		provenance.Attr("hot", provenance.String(fmt.Sprintf("h%d", hotKey)))), nil
 }
 
 // E18Overload — the paper's motivating deployments (congestion-zone
@@ -110,47 +91,22 @@ func (r *Runner) E18Overload() (*Result, error) {
 		Budget:     overloadRound,
 		MaxBacklog: overloadQueueCap * overloadRound,
 	}
-	type entrant struct {
-		label string
-		admit bool
-		cfg   ratelimit.Config
-		build func(net *netsim.Network, sites []netsim.SiteID) arch.Model
-	}
-	roster := []entrant{
-		{"central", false, ratelimit.Config{}, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return central.New(net, sites[0])
-		}},
-		{"central-adm", true, tightAdm, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return central.New(net, sites[0])
-		}},
-		{"distdb", false, ratelimit.Config{}, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return distdb.New(net, sites, 2)
-		}},
-		{"feddb", false, ratelimit.Config{}, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return feddb.New(net, sites, 0)
-		}},
-		{"softstate", false, ratelimit.Config{}, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return softstate.New(net, sites, sites[:2], 1)
-		}},
-		{"hier", false, ratelimit.Config{}, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			h, err := hier.New(net, sites, []string{provenance.KeyZone, provenance.KeySensorClass})
-			if err != nil {
-				panic(err)
-			}
-			return h
-		}},
-		{"dht", false, ratelimit.Config{}, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return dht.New(net, sites)
-		}},
-		{"dht-adm", true, tightAdm, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return dht.New(net, sites)
-		}},
-		{"passnet", false, ratelimit.Config{}, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{})
-		}},
-		{"passnet-adm", true, looseAdm, func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{})
-		}},
+	// Each row is a roster entrant plus, for the *-adm rows, the
+	// admission controller installed after the build.
+	entrants := []struct {
+		label, name string
+		adm         *ratelimit.Config
+	}{
+		{"central", "central", nil},
+		{"central-adm", "central", &tightAdm},
+		{"distdb", "distdb", nil},
+		{"feddb", "feddb", nil},
+		{"softstate", "softstate", nil},
+		{"hier", "hier", nil},
+		{"dht", "dht", nil},
+		{"dht-adm", "dht", &tightAdm},
+		{"passnet", "passnet", nil},
+		{"passnet-adm", "passnet", &looseAdm},
 	}
 	mults := []float64{1, 10, 100}
 
@@ -162,13 +118,11 @@ func (r *Runner) E18Overload() (*Result, error) {
 	type cell struct{ ei, gi int }
 	var cells []cell
 	for _, gi := range []int{0, 1, 2} {
-		for ei := range roster {
+		for ei := range entrants {
 			cells = append(cells, cell{ei, gi})
 		}
 	}
 	type out struct {
-		label                string
-		admit                bool
 		offered, served      int
 		shedRate, shedQueue  int
 		backlog              int
@@ -178,13 +132,13 @@ func (r *Runner) E18Overload() (*Result, error) {
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	outs, err := runCells(r, cells, func(c cell) (out, error) {
-		ent := roster[c.ei]
+		ent := entrants[c.ei]
 		mult := mults[c.gi]
 		net, sites := newGrid(16)
-		m := ent.build(net, sites)
+		m := entrant(ent.name)(net, sites)
 		var adm *ratelimit.Admission
-		if ent.admit {
-			adm = ratelimit.NewAdmission(ent.cfg)
+		if ent.adm != nil {
+			adm = ratelimit.NewAdmission(*ent.adm)
 			m.(arch.Admitter).SetAdmission(adm)
 		}
 		// One arrival schedule per multiplier, shared by every model in
@@ -211,7 +165,7 @@ func (r *Runner) E18Overload() (*Result, error) {
 		}
 		var queue []pend
 		var ground []provenance.ID
-		o := out{label: ent.label, admit: ent.admit}
+		var o out
 		seq := 0
 		net.ResetStats()
 
@@ -322,17 +276,17 @@ func (r *Runner) E18Overload() (*Result, error) {
 		return nil, err
 	}
 	for i, c := range cells {
-		o := outs[i]
+		o, ent := outs[i], entrants[c.ei]
 		multLabel := fmt.Sprintf("%gx", mults[c.gi])
 		shed := any("-")
-		if o.admit {
+		if ent.adm != nil {
 			shed = fmt.Sprintf("%d+%d", o.shedRate, o.shedQueue)
 		}
-		table.AddRow(o.label, multLabel, o.offered, o.served, shed, o.backlog,
+		table.AddRow(ent.label, multLabel, o.offered, o.served, shed, o.backlog,
 			fmt.Sprintf("%.3f", o.recall),
 			fmt.Sprintf("%.2f", o.p50), fmt.Sprintf("%.2f", o.p99), fmt.Sprintf("%.2f", o.p999),
 			fmt.Sprintf("%.2f", o.qp99), o.wan)
-		tag := fmt.Sprintf("%s_m%d", o.label, int(mults[c.gi]))
+		tag := fmt.Sprintf("%s_m%d", ent.label, int(mults[c.gi]))
 		findings["offered_"+tag] = float64(o.offered)
 		findings["served_"+tag] = float64(o.served)
 		findings["backlog_"+tag] = float64(o.backlog)
@@ -342,7 +296,7 @@ func (r *Runner) E18Overload() (*Result, error) {
 		findings["p999_"+tag] = o.p999
 		findings["qp99_"+tag] = o.qp99
 		findings["wan_"+tag] = float64(o.wan)
-		if o.admit {
+		if ent.adm != nil {
 			findings["shedrate_"+tag] = float64(o.shedRate)
 			findings["shedqueue_"+tag] = float64(o.shedQueue)
 		}

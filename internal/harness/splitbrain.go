@@ -6,6 +6,7 @@ import (
 	"pass/internal/arch"
 	"pass/internal/arch/central"
 	"pass/internal/arch/passnet"
+	"pass/internal/arch/scenario"
 	"pass/internal/arch/siteview"
 	"pass/internal/arch/softstate"
 	"pass/internal/metrics"
@@ -129,30 +130,18 @@ func (r *Runner) e15Passnet(nPer int, label string, opts passnet.Options, tag st
 		out := make(map[provenance.ID]bool, n)
 		for i := 0; i < n; i++ {
 			origin := origins[i%len(origins)]
-			s, err := net.Site(origin)
+			zone, err := scenario.ZoneAttr(net, origin)
 			if err != nil {
 				return nil, err
 			}
-			var digest [32]byte
-			digest[0], digest[1], digest[2] = byte(base+i), byte((base+i)>>8), 0xE5
-			rec, id, err := provenance.NewRaw(digest, 64).
-				Attrs(
-					provenance.Attr("n", provenance.Int64(int64(base+i))),
-					provenance.Attr(provenance.KeyDomain, domain),
-					provenance.Attr(provenance.KeyZone, provenance.String(s.Zone)),
-				).
-				CreatedAt(int64(base+i) + 1).
-				Build()
-			if err != nil {
-				return nil, err
-			}
+			p := scenario.Raw(base+i, 0xE5, origin, provenance.Attr(provenance.KeyDomain, domain), zone)
 			for k := 0; k < times; k++ {
-				if _, err := m.Publish(arch.Pub{ID: id, Rec: rec, Origin: origin}); err != nil {
+				if _, err := m.Publish(p); err != nil {
 					return nil, fmt.Errorf("publish %d: %w", base+i, err)
 				}
 			}
-			out[id] = true
-			all[id] = true
+			out[p.ID] = true
+			all[p.ID] = true
 		}
 		return out, nil
 	}
@@ -435,10 +424,12 @@ func (r *Runner) e15CentralContrast(nPer int) (e15Out, error) {
 			if err != nil {
 				return o, err
 			}
-			if _, err := m.Publish(arch.Pub{ID: id, Rec: rec, Origin: origin}); err == nil {
-				acked[side]++
-			} else if !arch.IsUnavailable(err) {
+			off, err := scenario.Offer(m, arch.Pub{ID: id, Rec: rec, Origin: origin}, 1)
+			if err != nil {
 				return o, err
+			}
+			if off.Acked {
+				acked[side]++
 			}
 		}
 	}

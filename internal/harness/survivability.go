@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pass/internal/arch"
+	"pass/internal/arch/scenario"
 	"pass/internal/metrics"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
@@ -34,8 +35,6 @@ func (r *Runner) E14Survivability() (*Result, error) {
 
 	const sitesPerZone = 4
 	pubsPer := r.scale.n(120)
-	attempts := 4
-	roster := modelRoster()
 	type cell struct {
 		nSites, li, mi int
 		loss           float64
@@ -43,7 +42,7 @@ func (r *Runner) E14Survivability() (*Result, error) {
 	var cells []cell
 	for _, nSites := range []int{16, 64, 256} {
 		for li, loss := range []float64{0, 0.05, 0.20} {
-			for mi := range roster {
+			for mi := range comparison {
 				cells = append(cells, cell{nSites, li, mi, loss})
 			}
 		}
@@ -60,7 +59,7 @@ func (r *Runner) E14Survivability() (*Result, error) {
 			LossRate: c.loss,
 			Seed:     uint64(c.nSites*100 + c.li*10 + c.mi + 1),
 		}, c.nSites/sitesPerZone, sitesPerZone, uint64(9000+c.nSites))
-		m := roster[c.mi](net, sites)
+		m := entrant(comparison[c.mi])(net, sites)
 
 		pubs, err := taggedPubs(net, sites, "surv", 0xE1, 0, pubsPer, nil)
 		if err != nil {
@@ -70,16 +69,14 @@ func (r *Runner) E14Survivability() (*Result, error) {
 		var pubLat time.Duration
 		pubAttempts := 0
 		for _, p := range pubs {
-			for a := 0; a < attempts; a++ {
-				d, err := m.Publish(p)
-				pubLat += d
-				pubAttempts++
-				if err == nil {
-					acked[p.ID] = true
-					break
-				} else if !arch.IsUnavailable(err) {
-					return out{}, fmt.Errorf("%s: %w", m.Name(), err)
-				}
+			o, err := scenario.Offer(m, p, 4)
+			if err != nil {
+				return out{}, err
+			}
+			pubLat += o.Total
+			pubAttempts += o.Tries
+			if o.Acked {
+				acked[p.ID] = true
 			}
 		}
 		for tick := 0; tick < 6; tick++ {
@@ -94,24 +91,15 @@ func (r *Runner) E14Survivability() (*Result, error) {
 		recall := 0.0
 		var qLat time.Duration
 		if len(acked) > 0 {
-			for _, q := range queriers {
-				got, d, err := m.QueryAttr(q, provenance.KeyDomain, provenance.String("surv"))
-				qLat += d
-				if err != nil {
-					if arch.IsUnavailable(err) {
-						continue // unreachable index scores 0 from this querier
-					}
-					return out{}, fmt.Errorf("%s query: %w", m.Name(), err)
-				}
-				hit := 0
-				for _, id := range got {
-					if acked[id] {
-						hit++
-					}
-				}
-				recall += float64(hit) / float64(len(acked))
+			per, lat, err := scenario.QueryRecall(m, queriers, provenance.KeyDomain, provenance.String("surv"), acked, 1)
+			if err != nil {
+				return out{}, err
+			}
+			for _, r := range per {
+				recall += r
 			}
 			recall /= float64(len(queriers))
+			qLat = lat
 		}
 
 		st := net.Stats()
@@ -156,39 +144,26 @@ func (r *Runner) E14Survivability() (*Result, error) {
 	}, nil
 }
 
-// taggedPubs builds one deterministic record per publish slot, tagged
-// with the given domain attribute (tag keeps different experiments'
-// digests distinct) plus the origin's zone (so hierarchical partitioning
-// has a primary attribute to work with). Sequence numbers start at base;
-// origins stride over the roster, skipping sites in skip (crashed
-// producers). Shared by the fault experiments E14 and E16.
+// taggedPubs builds one deterministic record per publish slot
+// (scenario.Raw), tagged with the given domain attribute (tag keeps
+// different experiments' digests distinct) plus the origin's zone (so
+// hierarchical partitioning has a primary attribute to work with).
+// Sequence numbers start at base; origins stride over the roster,
+// skipping sites in skip (crashed producers). Shared by the fault
+// experiments E14 and E16.
 func taggedPubs(net *netsim.Network, sites []netsim.SiteID, domain string, tag byte, base, n int, skip map[netsim.SiteID]bool) ([]arch.Pub, error) {
 	pubs := make([]arch.Pub, 0, n)
-	for i := 0; i < n; i++ {
-		seq := base + i
+	for seq := base; seq < base+n; seq++ {
 		idx := (seq * 7) % len(sites)
 		for skip[sites[idx]] {
 			idx = (idx + 1) % len(sites)
 		}
-		origin := sites[idx]
-		s, err := net.Site(origin)
+		zone, err := scenario.ZoneAttr(net, sites[idx])
 		if err != nil {
 			return nil, err
 		}
-		var digest [32]byte
-		digest[0], digest[1], digest[2] = byte(seq), byte(seq>>8), tag
-		rec, id, err := provenance.NewRaw(digest, 64).
-			Attrs(
-				provenance.Attr("n", provenance.Int64(int64(seq))),
-				provenance.Attr(provenance.KeyDomain, provenance.String(domain)),
-				provenance.Attr(provenance.KeyZone, provenance.String(s.Zone)),
-			).
-			CreatedAt(int64(seq) + 1).
-			Build()
-		if err != nil {
-			return nil, err
-		}
-		pubs = append(pubs, arch.Pub{ID: id, Rec: rec, Origin: origin})
+		pubs = append(pubs, scenario.Raw(seq, tag, sites[idx],
+			provenance.Attr(provenance.KeyDomain, provenance.String(domain)), zone))
 	}
 	return pubs, nil
 }

@@ -60,7 +60,7 @@ func NewCollector(reg *metrics.Registry, tr *trace.Log, modelLabel string) *Coll
 // runner's real network, site slice, and model instance as they are
 // built. The runner's scratch capability probe binds first and is
 // immediately overwritten by the real build — the last bind wins.
-func (c *Collector) WrapBuild(build func(*netsim.Network, []netsim.SiteID) arch.Model) func(*netsim.Network, []netsim.SiteID) arch.Model {
+func (c *Collector) WrapBuild(build arch.Builder) arch.Builder {
 	return func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
 		m := build(net, sites)
 		c.net, c.sites, c.m = net, sites, m

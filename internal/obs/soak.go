@@ -3,76 +3,51 @@ package obs
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
 	"pass/internal/arch"
-	"pass/internal/arch/central"
-	"pass/internal/arch/dht"
-	"pass/internal/arch/passnet"
+	"pass/internal/arch/roster"
 	"pass/internal/arch/schedule"
-	"pass/internal/arch/softstate"
 	"pass/internal/metrics"
 	"pass/internal/netsim"
 	"pass/internal/ratelimit"
 	"pass/internal/trace"
 )
 
-// Builder returns the constructor for a named roster model. The roster
-// mirrors the schedule-capable entrants of E16/E17: central, softstate,
-// dht, passnet, and passnet-eff (efficient gossip), plus central-adm —
-// central under a generously provisioned admission controller, which
-// keeps the pass_admission_* and queue-delay series live in the daemon.
-func Builder(name string) (func(net *netsim.Network, sites []netsim.SiteID) arch.Model, bool) {
-	switch name {
-	case "central":
-		return func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return central.New(net, sites[0])
-		}, true
-	case "central-adm":
-		return func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			m := central.New(net, sites[0])
-			// Provisioned for the soak's nominal load: the buckets and
-			// queue bound only bite if a workload change floods the
-			// warehouse, which is exactly what the shed counters are
-			// there to catch.
-			m.SetAdmission(ratelimit.NewAdmission(ratelimit.Config{
-				PerClientRate:  8,
-				PerClientBurst: 24,
-				Budget:         20 * time.Millisecond,
-				MaxBacklog:     200 * time.Millisecond,
-			}))
-			return m
-		}, true
-	case "softstate":
-		return func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return softstate.New(net, sites, sites[:2], 1)
-		}, true
-	case "dht":
-		return func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return dht.New(net, sites)
-		}, true
-	case "passnet":
-		return func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{})
-		}, true
-	case "passnet-eff":
-		return func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
-			return passnet.New(net, sites, passnet.Options{EfficientGossip: true, PullEvery: 1})
-		}, true
+// soakModel resolves a soak's model name: any roster entrant, plus
+// central-adm — central under a generously provisioned admission
+// controller, which keeps the pass_admission_* and queue-delay series
+// live in the daemon.
+func soakModel(name string) (arch.Builder, error) {
+	if b, ok := roster.Lookup(name); ok {
+		return b, nil
 	}
-	return nil, false
-}
-
-// ModelNames lists the roster in presentation order.
-func ModelNames() []string {
-	return []string{"central", "central-adm", "softstate", "dht", "passnet", "passnet-eff"}
+	if name != "central-adm" {
+		return nil, fmt.Errorf("obs: unknown model %q (accepted: %s, central-adm)",
+			name, strings.Join(roster.Names(), ", "))
+	}
+	central, _ := roster.Lookup("central")
+	return func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
+		m := central(net, sites)
+		// Provisioned for the soak's nominal load: the buckets and queue
+		// bound only bite if a workload change floods the warehouse,
+		// which is exactly what the shed counters are there to catch.
+		m.(arch.Admitter).SetAdmission(ratelimit.NewAdmission(ratelimit.Config{
+			PerClientRate:  8,
+			PerClientBurst: 24,
+			Budget:         20 * time.Millisecond,
+			MaxBacklog:     200 * time.Millisecond,
+		}))
+		return m
+	}, nil
 }
 
 // SoakConfig sizes one model's soak stream. Zero fields select the
 // defaults noted per field.
 type SoakConfig struct {
-	// Model is a roster name (default "passnet-eff").
+	// Model is a roster name or central-adm (default "passnet-eff").
 	Model string
 	// Seed seeds iteration i's schedule as Seed+i (default 1).
 	Seed uint64
@@ -164,7 +139,7 @@ type Soak struct {
 	cfg   SoakConfig
 	reg   *metrics.Registry
 	tr    *trace.Log
-	build func(*netsim.Network, []netsim.SiteID) arch.Model
+	build arch.Builder
 	win   *Windowed
 
 	mu     sync.Mutex
@@ -175,9 +150,9 @@ type Soak struct {
 // tr may be nil.
 func NewSoak(cfg SoakConfig, reg *metrics.Registry, tr *trace.Log) (*Soak, error) {
 	cfg = cfg.withDefaults()
-	build, ok := Builder(cfg.Model)
-	if !ok {
-		return nil, fmt.Errorf("obs: unknown model %q (roster: %v)", cfg.Model, ModelNames())
+	build, err := soakModel(cfg.Model)
+	if err != nil {
+		return nil, err
 	}
 	s := &Soak{
 		cfg: cfg, reg: reg, tr: tr, build: build,

@@ -14,9 +14,6 @@ const (
 	ShapeBursts Shape = "bursts"
 	// ShapeDiurnal follows a sinusoidal day/night cycle of length Period.
 	ShapeDiurnal Shape = "diurnal"
-	// ShapeFlash is flat with one regional flash crowd: during the flash
-	// window, FlashGain-times extra arrivals all hit FlashKey.
-	ShapeFlash Shape = "flash"
 )
 
 // OpenLoopConfig parameterizes an open-loop arrival generator. The zero
@@ -41,16 +38,11 @@ type OpenLoopConfig struct {
 	// BurstLen rounds of each burst run at BurstGain times nominal.
 	BurstLen  int
 	BurstGain float64
-	// Flash window [FlashStart, FlashStart+FlashLen): FlashGain times
-	// nominal extra arrivals, all targeting FlashKey.
-	FlashStart, FlashLen int
-	FlashKey             int
-	FlashGain            float64
 	// ZipfS is the skew exponent for client and key draws; 0 disables
 	// skew (uniform draws).
 	ZipfS float64
 	// QueriesPerRound is the expected closed-loop query intents per round;
-	// queries target hot keys (and the flash key during a flash).
+	// queries target hot keys.
 	QueriesPerRound float64
 }
 
@@ -78,12 +70,6 @@ func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
 	}
 	if c.BurstGain <= 0 {
 		c.BurstGain = 4
-	}
-	if c.FlashLen <= 0 {
-		c.FlashLen = 3
-	}
-	if c.FlashGain <= 0 {
-		c.FlashGain = 8
 	}
 	if c.ZipfS < 0 {
 		c.ZipfS = 0
@@ -157,7 +143,7 @@ func drawCDF(cdf []float64, u float64) int {
 }
 
 // Rate returns the expected arrivals in the given round — the shape
-// function times nominal times multiplier, before the flash-crowd extra.
+// function times nominal times multiplier.
 func (g *OpenLoop) Rate(round int) float64 {
 	base := g.cfg.NominalPerRound * g.cfg.Multiplier
 	switch g.cfg.Shape {
@@ -175,12 +161,6 @@ func (g *OpenLoop) Rate(round int) float64 {
 	}
 }
 
-// inFlash reports whether round is inside the flash-crowd window.
-func (g *OpenLoop) inFlash(round int) bool {
-	return g.cfg.Shape == ShapeFlash &&
-		round >= g.cfg.FlashStart && round < g.cfg.FlashStart+g.cfg.FlashLen
-}
-
 // count realizes an expected rate into a whole number of events: the
 // integer part always happens, the fractional part with matching
 // probability.
@@ -195,41 +175,26 @@ func (g *OpenLoop) count(rate float64) int {
 // Arrivals returns the publish arrivals for one round, in arrival order.
 func (g *OpenLoop) Arrivals(round int) []Arrival {
 	n := g.count(g.Rate(round))
-	var flash int
-	if g.inFlash(round) {
-		flash = g.count(g.cfg.NominalPerRound * g.cfg.Multiplier * g.cfg.FlashGain)
-	}
-	out := make([]Arrival, 0, n+flash)
+	out := make([]Arrival, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, Arrival{
 			Client: drawCDF(g.clientCDF, g.rng.Float64()),
 			Key:    drawCDF(g.keyCDF, g.rng.Float64()),
-		})
-	}
-	for i := 0; i < flash; i++ {
-		out = append(out, Arrival{
-			Client: drawCDF(g.clientCDF, g.rng.Float64()),
-			Key:    g.cfg.FlashKey,
 		})
 	}
 	return out
 }
 
-// Queries returns the closed-loop query intents for one round. During a
-// flash crowd most queries chase the flash key (everyone asks about the
-// event); otherwise they follow the hot-key skew.
+// Queries returns the closed-loop query intents for one round; they
+// follow the hot-key skew.
 func (g *OpenLoop) Queries(round int) []QueryIntent {
 	n := g.count(g.cfg.QueriesPerRound)
 	out := make([]QueryIntent, 0, n)
 	for i := 0; i < n; i++ {
-		q := QueryIntent{
+		out = append(out, QueryIntent{
 			Client: drawCDF(g.clientCDF, g.rng.Float64()),
 			Key:    drawCDF(g.keyCDF, g.rng.Float64()),
-		}
-		if g.inFlash(round) && g.rng.Float64() < 0.75 {
-			q.Key = g.cfg.FlashKey
-		}
-		out = append(out, q)
+		})
 	}
 	return out
 }

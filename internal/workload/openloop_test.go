@@ -142,43 +142,6 @@ func TestOpenLoopZipfSkew(t *testing.T) {
 	}
 }
 
-func TestOpenLoopFlashCrowd(t *testing.T) {
-	g := NewOpenLoop(OpenLoopConfig{
-		Seed: 5, Clients: 16, HotKeys: 16, NominalPerRound: 10,
-		Shape: ShapeFlash, FlashStart: 10, FlashLen: 3, FlashKey: 9, FlashGain: 8,
-		QueriesPerRound: 10, ZipfS: 1.0,
-	})
-	for r := 0; r < 20; r++ {
-		arrivals := g.Arrivals(r)
-		queries := g.Queries(r)
-		flashArr, flashQ := 0, 0
-		for _, a := range arrivals {
-			if a.Key == 9 {
-				flashArr++
-			}
-		}
-		for _, q := range queries {
-			if q.Key == 9 {
-				flashQ++
-			}
-		}
-		in := r >= 10 && r < 13
-		if in {
-			if len(arrivals) < 50 {
-				t.Fatalf("round %d in flash: %d arrivals, want the 8x surge", r, len(arrivals))
-			}
-			if flashArr < len(arrivals)/2 {
-				t.Fatalf("round %d in flash: only %d/%d arrivals hit the flash key", r, flashArr, len(arrivals))
-			}
-			if flashQ < len(queries)/2 {
-				t.Fatalf("round %d in flash: only %d/%d queries chase the flash key", r, flashQ, len(queries))
-			}
-		} else if len(arrivals) > 25 {
-			t.Fatalf("round %d outside flash: %d arrivals, want ~10", r, len(arrivals))
-		}
-	}
-}
-
 func BenchmarkOpenLoopGen(b *testing.B) {
 	g := NewOpenLoop(OpenLoopConfig{
 		Seed: 1, Clients: 1024, HotKeys: 64, NominalPerRound: 100,
