@@ -22,9 +22,10 @@
 #                        against the node code it drives.
 #   make docs-check    — fail if an internal/ package lacks a package
 #                        comment, README's experiment table drifts from
-#                        the harness registry, or README/ARCHITECTURE
-#                        name a make target or package path that does
-#                        not exist (cmd/docscheck).
+#                        the harness registry, README's series table
+#                        drifts from the node code's "pass_…" literals,
+#                        or README/ARCHITECTURE name a make target or
+#                        package path that does not exist (cmd/docscheck).
 #   make bench-check   — run the suite at the baseline's scale and fail on
 #                        runtime regressions or broken recall invariants
 #                        (cmd/benchcheck).
@@ -55,14 +56,14 @@ vet:
 # conformance sweeps under the race detector's ~10x slowdown would
 # dominate the gate without widening its coverage. The packages whose
 # concurrency is the point — the storage engine and provenance core,
-# netsim's sharded accounting, the metrics registry and trace ring
-# scraped while soaks write them, admission controllers taking
+# netsim's sharded accounting, the metrics registry scraped while
+# nodes write it, admission controllers taking
 # concurrent Offer calls, wire endpoints multiplexing inflight requests,
 # and node handlers — also run at full scale, as does the parallel cell
 # runner's serial-vs-parallel equivalence in the harness.
 race:
 	$(GO) test -race -short -count=1 ./...
-	$(GO) test -race -count=1 ./internal/core ./internal/kvstore ./internal/netsim ./internal/metrics ./internal/trace ./internal/ratelimit ./internal/wire ./internal/node
+	$(GO) test -race -count=1 ./internal/core ./internal/kvstore ./internal/netsim ./internal/metrics ./internal/ratelimit ./internal/wire ./internal/node
 	$(GO) test -race -count=1 -run 'TestSerialParallelEquivalence|TestRunCells' ./internal/harness
 
 check: vet test race bench-quick bench-check bench-smoke docs-check
@@ -73,9 +74,9 @@ bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The documentation gate: every internal/ package must have a package
-# comment, README's experiment table must match the harness registry, and
-# the make targets and package paths README and ARCHITECTURE name must
-# exist.
+# comment, README's experiment and series tables must match the harness
+# registry and the node code, and the make targets and package paths
+# README and ARCHITECTURE name must exist.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

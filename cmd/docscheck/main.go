@@ -16,6 +16,11 @@
 //     skipped).
 //   - Every directory under examples/ has a _test.go file, so no example
 //     exists that no gate runs.
+//   - README.md's series table lists exactly the metric series real
+//     nodes and cluster.Soak export: every "pass_…" string literal in
+//     non-test Go under internal/node, internal/wire,
+//     internal/harness/cluster or cmd/passd is a table row name, and
+//     every table row name is such a literal.
 //
 // Usage:
 //
@@ -27,11 +32,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 
 	"pass/internal/harness"
@@ -46,6 +54,7 @@ func main() {
 	failures = append(failures, checkReadmeTable(*root)...)
 	failures = append(failures, checkDocRefs(*root)...)
 	failures = append(failures, checkExamplesTested(*root)...)
+	failures = append(failures, checkSeriesTable(*root)...)
 
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s):\n", len(failures))
@@ -54,7 +63,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package comments present, README experiment table matches the registry, doc references resolve, every example has a test")
+	fmt.Println("docscheck: package comments present, README experiment table matches the registry, doc references resolve, every example has a test, README series table matches the node code")
 }
 
 // checkPackageComments walks internal/ and cmd/ and requires each
@@ -240,4 +249,71 @@ func makeTargets(path string) (map[string]bool, error) {
 		}
 	}
 	return targets, nil
+}
+
+// seriesDirs hold the code behind the node's /metrics surface and
+// cluster.Soak's registry: every "pass_…" literal there is a series name.
+var seriesDirs = []string{"internal/node", "internal/wire", "internal/harness/cluster", "cmd/passd"}
+
+// checkSeriesTable compares the series names README.md's tables list (the
+// backticked pass_ names in a row's first cell, label sets dropped)
+// against the "pass_…" string literals in seriesDirs' non-test Go.
+func checkSeriesTable(root string) []string {
+	buf, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(string(buf), "\n") {
+		cells := strings.Split(strings.TrimSpace(line), "|")
+		if len(cells) < 3 || cells[0] != "" {
+			continue
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(cells[1], -1) {
+			if name, _, _ := strings.Cut(m[1], "{"); strings.HasPrefix(name, "pass_") {
+				listed[name] = true
+			}
+		}
+	}
+
+	named := map[string]string{} // series -> first file naming it
+	for _, dir := range seriesDirs {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				if s, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(s, "pass_") && named[s] == "" {
+					named[s], _ = filepath.Rel(root, path)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			return []string{err.Error()}
+		}
+	}
+
+	var failures []string
+	for name, file := range named {
+		if !listed[name] {
+			failures = append(failures, fmt.Sprintf("README.md series table is missing %s (named in %s)", name, file))
+		}
+	}
+	for name := range listed {
+		if named[name] == "" {
+			failures = append(failures, fmt.Sprintf("README.md series table lists %s, which no node, wire, cluster or passd code names", name))
+		}
+	}
+	sort.Strings(failures)
+	return failures
 }

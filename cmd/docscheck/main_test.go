@@ -77,3 +77,48 @@ func TestCheckExamplesTested(t *testing.T) {
 		t.Fatalf("repository examples:\n%s", strings.Join(f, "\n"))
 	}
 }
+
+// TestCheckSeriesTable: a "pass_…" literal in node code that README's
+// series table lacks fails, as does a table row no such literal names;
+// test files and other packages do not count, and label sets in the
+// table are ignored. The repository's own table matches.
+func TestCheckSeriesTable(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/node/node.go", "package node\n\nvar a, b = \"pass_node_records\", \"pass_wal_errors_total\"\n")
+	write("internal/wire/wire.go", "package wire\n")
+	write("internal/harness/cluster/cluster.go", "package cluster\n")
+	write("cmd/passd/main.go", "package main\n\nvar e = \"pass_node_records\"\n")
+	write("internal/node/node_test.go", "package node\n\nvar c = \"pass_only_in_tests\"\n")
+	write("internal/arch/arch.go", "package arch\n\nvar d = \"pass_simulated\"\n")
+	table := "| series | type |\n|---|---|\n| `pass_node_records` | gauge |\n"
+
+	write("README.md", table)
+	f := checkSeriesTable(root)
+	if len(f) != 1 || !strings.Contains(f[0], "missing pass_wal_errors_total") || !strings.Contains(f[0], "internal/node/node.go") {
+		t.Fatalf("want one failure for the undocumented literal, got %v", f)
+	}
+
+	write("README.md", table+"| `pass_wal_errors_total{mode=...}`, `pass_retired` | counter |\n")
+	f = checkSeriesTable(root)
+	if len(f) != 1 || !strings.Contains(f[0], "lists pass_retired") {
+		t.Fatalf("want one failure for the stale row name, got %v", f)
+	}
+
+	write("README.md", table+"| `pass_wal_errors_total` | counter |\n")
+	if f := checkSeriesTable(root); len(f) != 0 {
+		t.Fatalf("matching table reported %v", f)
+	}
+	if f := checkSeriesTable(filepath.Join("..", "..")); len(f) != 0 {
+		t.Fatalf("repository series table:\n%s", strings.Join(f, "\n"))
+	}
+}

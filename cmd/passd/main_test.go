@@ -1,132 +1,140 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
-	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
-	"pass/internal/trace"
+	"pass/internal/node"
+	"pass/internal/provenance"
 )
 
-// TestDaemonServesMetricsDuringSoak boots the daemon on an ephemeral
-// port with two models and a fast clock, scrapes /metrics and /healthz
-// WHILE the fault stream runs, and checks the exit code, the summary,
-// and the JSONL trace file.
-func TestDaemonServesMetricsDuringSoak(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "soak-trace.jsonl")
-	addrCh := make(chan string, 1)
-	exitCh := make(chan int, 1)
-	var out strings.Builder
+// syncBuf is a goroutine-safe strings.Builder: the node goroutine
+// writes while the test polls.
+type syncBuf struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
 
-	go func() {
-		exitCh <- run([]string{
-			"daemon",
-			"-addr", "127.0.0.1:0",
-			"-models", "passnet-eff,dht",
-			"-sites", "16", "-rounds", "12", "-pubs", "3",
-			"-interval", "20ms",
-			"-trace", tracePath,
-		}, &out, func(addr string) { addrCh <- addr })
-	}()
+func (s *syncBuf) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
 
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("daemon never came up\n%s", out.String())
-	}
+func (s *syncBuf) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
 
-	// Scrape while the soak is live: with 12 rounds at 20ms pacing the
-	// stream is still running on the first scrapes.
-	deadline := time.Now().Add(10 * time.Second)
-	var expo string
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("metrics never showed live series\n%s", expo)
-		}
-		expo = httpGet(t, "http://"+addr+"/metrics")
-		if strings.Contains(expo, `pass_recall{model="passnet-eff"}`) &&
-			strings.Contains(expo, `pass_sites_up{model="dht"}`) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	for _, series := range []string{
-		"# TYPE pass_net_bytes_total counter",
-		`pass_gossip_bytes_total{model="passnet-eff"}`,
-		`pass_outbox_depth{model="passnet-eff"}`,
-		`pass_members{model="dht"}`,
-		`pass_recall_probe_count{model="dht"}`,
-	} {
-		if !strings.Contains(expo, series) {
-			t.Errorf("live exposition missing %q", series)
-		}
-	}
+var nodeBootLine = regexp.MustCompile(`passd: node (\d+) listening on (\S+) http (\S+)`)
 
-	var health struct {
-		Healthy bool `json:"healthy"`
-		Soaks   []struct {
-			Model  string `json:"model"`
-			GateOK bool   `json:"gate_ok"`
-		} `json:"soaks"`
-	}
-	if err := json.Unmarshal([]byte(httpGet(t, "http://"+addr+"/healthz")), &health); err != nil {
-		t.Fatal(err)
-	}
-	if !health.Healthy || len(health.Soaks) != 2 {
-		t.Fatalf("healthz: %+v", health)
-	}
-
-	select {
-	case code := <-exitCh:
-		if code != 0 {
-			t.Fatalf("daemon exited %d\n%s", code, out.String())
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatalf("daemon never finished\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "gate OK") {
-		t.Fatalf("no gate verdict in summary:\n%s", out.String())
-	}
-
-	// The write-through trace file is non-empty, line-parseable JSONL.
-	data, err := os.ReadFile(tracePath)
+func resolveUDP(t *testing.T, addr string) *net.UDPAddr {
+	t.Helper()
+	a, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) < 24 {
-		t.Fatalf("trace file has only %d lines", len(lines))
-	}
-	models := map[string]bool{}
-	for _, line := range lines {
-		var e trace.Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("corrupt trace line %q: %v", line, err)
+	return a
+}
+
+// TestNodeModeServesVerbsAndShutsDownOnSignal boots `passd node`
+// in-process, drives a put/query through its UDP verbs, scrapes its
+// /metrics surface, then sends SIGTERM and requires a clean exit.
+func TestNodeModeServesVerbsAndShutsDownOnSignal(t *testing.T) {
+	exitCh := make(chan int, 1)
+	var out syncBuf
+	go func() {
+		exitCh <- run([]string{
+			"node", "-id", "7", "-mode", "passnet",
+			"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0",
+		}, &out)
+	}()
+
+	var udpAddr, httpAddr string
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m := nodeBootLine.FindStringSubmatch(out.String()); m != nil {
+			udpAddr, httpAddr = m[2], m[3]
+			break
 		}
-		models[e.Model] = true
+		if time.Now().After(deadline) {
+			t.Fatalf("node never printed its boot line\n%s", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	if !models["passnet-eff"] || !models["dht"] {
-		t.Fatalf("trace lines missing a model: %v", models)
+
+	c, err := node.NewClient(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	addr := resolveUDP(t, udpAddr)
+	if err := c.SetPeers(addr, []node.Peer{{ID: 7, Addr: udpAddr}}); err != nil {
+		t.Fatalf("roster: %v", err)
+	}
+	rec, _, err := provenance.NewRaw([32]byte{1}, 64).
+		Attrs(provenance.Attr(provenance.KeyDomain, provenance.String("sig"))).
+		CreatedAt(1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Put(addr, rec)
+	if err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	got, err := c.QueryAttr(addr, provenance.KeyDomain, provenance.String("sig"))
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if len(got) != 1 || got[0] != id {
+		t.Fatalf("query returned %v, want [%x]", got, id[:4])
+	}
+
+	expo := httpGet(t, "http://"+httpAddr+"/metrics")
+	if !strings.Contains(expo, "pass_node_msgs_in") || !strings.Contains(expo, "pass_node_records 1") {
+		t.Fatalf("node metrics missing series:\n%s", expo)
+	}
+	health := httpGet(t, "http://"+httpAddr+"/healthz")
+	if !strings.Contains(health, `"healthy":true`) {
+		t.Fatalf("healthz: %s", health)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exitCh:
+		if code != 0 {
+			t.Fatalf("node exited %d after SIGTERM\n%s", code, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("node never shut down\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "node 7 shut down") {
+		t.Fatalf("no shutdown confirmation:\n%s", out.String())
 	}
 }
 
-func TestDaemonUsageAndBadModel(t *testing.T) {
-	var out strings.Builder
-	if code := run(nil, &out, nil); code != 2 {
-		t.Fatalf("no-args exit = %d, want 2", code)
-	}
-	out.Reset()
-	if code := run([]string{"daemon", "-models", "bogus"}, &out, nil); code != 1 {
-		t.Fatalf("bad model exit = %d, want 1", code)
-	}
-	if !strings.Contains(out.String(), "bogus") {
-		t.Fatalf("bad-model error not surfaced: %s", out.String())
+// TestUsageNodeOnly: passd has one verb. No arguments, an unknown verb
+// and the retired `daemon` verb all print usage and exit 2.
+func TestUsageNodeOnly(t *testing.T) {
+	for _, args := range [][]string{nil, {"bogus"}, {"daemon"}} {
+		var out strings.Builder
+		if code := run(args, &out); code != 2 {
+			t.Fatalf("run(%q) exit = %d, want 2", args, code)
+		}
+		if !strings.Contains(out.String(), "usage: passd node") {
+			t.Fatalf("run(%q) printed no usage: %s", args, out.String())
+		}
 	}
 }
 

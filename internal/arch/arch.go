@@ -211,18 +211,6 @@ type GossipStats struct {
 	PullRounds int64
 }
 
-// OpsSampler is the optional capability interface for models that export
-// operational gauges to the live metrics surface (the obs collector and
-// the passd daemon). SampleOps calls set once per reading with a
-// stable snake_case metric name (e.g. "outbox_depth", "members") and the
-// current value; it must be cheap — a handful of counter loads, no wire
-// traffic — because the collector invokes it once per sampled round.
-// Today passnet (outbox depth, rejoins, routing-filter accounting) and
-// dht (ring size, re-homing and handoff totals) implement it.
-type OpsSampler interface {
-	SampleOps(set func(metric string, value int64))
-}
-
 // Admitter is the optional capability interface for models whose serving
 // side can run under admission control (today: central, dht, passnet).
 // SetAdmission installs a ratelimit.Admission controller — nil removes it
@@ -231,12 +219,11 @@ type OpsSampler interface {
 // the network, so a shed is cheap by construction; admitted work has the
 // controller's queueing delay added to its reported critical-path
 // latency, modeling time spent behind the backlog. The model's Tick
-// drives the controller's Tick (budget drain + bucket refill). E18 and
-// the obs collector type-assert for it; models without an ingest
-// bottleneck to protect simply do not implement it.
+// drives the controller's Tick (budget drain + bucket refill). E18
+// type-asserts for it; models without an ingest bottleneck to protect
+// simply do not implement it.
 type Admitter interface {
 	SetAdmission(a *ratelimit.Admission)
-	Admission() *ratelimit.Admission
 }
 
 // AdmissionSlot is the embeddable Admitter implementation the capable
@@ -254,7 +241,7 @@ func (s *AdmissionSlot) SetAdmission(a *ratelimit.Admission) {
 	s.admMu.Unlock()
 }
 
-// Admission implements Admitter; it returns nil when no controller is
+// Admission returns the installed controller, or nil when none is
 // installed.
 func (s *AdmissionSlot) Admission() *ratelimit.Admission {
 	s.admMu.Lock()

@@ -20,15 +20,17 @@ package archtest
 //   - per-round determinism: two same-seed observed replays produce
 //     identical recall series and identical outcomes — the series is a
 //     reproducible artifact, and a failure dumps both the schedule and
-//     the JSONL round trace.
+//     the per-round log.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"pass/internal/arch"
 	"pass/internal/arch/schedule"
+	"pass/internal/metrics"
 	"pass/internal/netsim"
-	"pass/internal/trace"
 )
 
 // soakSeeds drive the law's fault streams; one under -short.
@@ -47,24 +49,21 @@ const (
 	soakRecoveryLag = 3
 )
 
-// soakRecorder implements schedule.Observer: JSONL trace plus the recall
-// series the law asserts on.
+// soakRecorder implements schedule.Observer: a per-round log for the
+// failure dump plus the recall series the law asserts on.
 type soakRecorder struct {
-	tr      *trace.Log
+	log     strings.Builder
 	recalls []float64
 }
 
 func (r *soakRecorder) OnEvent(round int, e schedule.Event) {
-	r.tr.Append(trace.Event{Round: round, Kind: "fault", Op: e.Op.String(), Site: e.Site})
+	fmt.Fprintf(&r.log, "  round %2d: %s site %d\n", round, e.Op, e.Site)
 }
 
 func (r *soakRecorder) OnRound(st schedule.RoundStats) {
 	r.recalls = append(r.recalls, st.Recall)
-	r.tr.Append(trace.Event{
-		Round: st.Round, Kind: "round",
-		Offered: st.Offered, Acked: st.Acked, Live: st.Live,
-		Bytes: st.Bytes, Msgs: st.Msgs, Recall: st.Recall,
-	})
+	fmt.Fprintf(&r.log, "  round %2d: offered=%d acked=%d live=%d bytes=%d msgs=%d recall=%.3f\n",
+		st.Round, st.Offered, st.Acked, st.Live, st.Bytes, st.Msgs, st.Recall)
 }
 
 func testRecallSoak(t *testing.T, cfg Config) {
@@ -89,35 +88,27 @@ func testRecallSoak(t *testing.T, cfg Config) {
 	for _, seed := range seeds {
 		sched := schedule.GenerateSoak(seed, scfg, opt)
 		run := func() (*soakRecorder, schedule.Outcome) {
-			rec := &soakRecorder{tr: trace.New(4 * rounds)}
+			rec := &soakRecorder{}
 			o, err := schedule.RunObserved(sched, cfg.Make, rec)
 			if err != nil {
-				t.Fatalf("seed %d: %v\nreplay:\n%s\ntrace:\n%s", seed, err, sched, rec.tr)
+				t.Fatalf("seed %d: %v\nreplay:\n%s\nrounds:\n%s", seed, err, sched, &rec.log)
 			}
 			return rec, o
 		}
 		rec, o := run()
 
-		// The windowed gate: longest consecutive below-threshold streak.
-		worst, cur, from := 0, 0, -1
-		for i, r := range rec.recalls {
-			if r < soakThreshold {
-				cur++
-				if cur > worst {
-					worst = cur
-					from = i - cur + 1
-				}
-			} else {
-				cur = 0
-			}
+		// The windowed gate: no below-threshold streak longer than budget.
+		gate := metrics.NewWindowed(soakThreshold, budget)
+		for _, r := range rec.recalls {
+			gate.Add(r)
 		}
-		if worst > budget {
-			t.Fatalf("seed %d: recall below %.2f for %d consecutive rounds (budget %d, streak starts round %d)\nreplay:\n%s\ntrace:\n%s",
-				seed, soakThreshold, worst, budget, from, sched, rec.tr)
+		if !gate.OK() {
+			t.Fatalf("seed %d: recall below %.2f for %d consecutive rounds (budget %d)\nreplay:\n%s\nrounds:\n%s",
+				seed, soakThreshold, gate.Worst(), budget, sched, &rec.log)
 		}
 		if o.Recall < 0.99 {
-			t.Fatalf("seed %d: soak did not end recovered: recall %.3f\nreplay:\n%s\ntrace:\n%s",
-				seed, o.Recall, sched, rec.tr)
+			t.Fatalf("seed %d: soak did not end recovered: recall %.3f\nreplay:\n%s\nrounds:\n%s",
+				seed, o.Recall, sched, &rec.log)
 		}
 		if o.Acked == 0 || o.Stats.Bytes == 0 {
 			t.Fatalf("seed %d: vacuous soak (acked=%d bytes=%d)\nreplay:\n%s", seed, o.Acked, o.Stats.Bytes, sched)

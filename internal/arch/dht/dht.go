@@ -997,19 +997,6 @@ func (m *Model) Members() int {
 	return len(m.snapshot().nodes)
 }
 
-// SampleOps implements arch.OpsSampler: the ring's operational gauges
-// for the live metrics surface — membership size plus the cumulative
-// stabilize/handoff accounting (records re-homed after crashes, records
-// and bytes moved by join and leave handoffs).
-func (m *Model) SampleOps(set func(metric string, value int64)) {
-	set("members", int64(m.Members()))
-	set("rehomed", m.Rehomed())
-	set("handed_off", m.HandedOff())
-	set("handoff_bytes", m.HandoffBytes())
-	set("left", m.Left())
-	set("leave_bytes", m.LeaveBytes())
-}
-
 // NodeLoad returns per-node stored record counts (load imbalance and E9's
 // per-node update load proxy). Primary ownership only; replicas are not
 // counted.

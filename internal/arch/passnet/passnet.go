@@ -1087,18 +1087,6 @@ func (m *Model) PendingDigests() int {
 	return n
 }
 
-// SampleOps implements arch.OpsSampler: the gossip mesh's operational
-// gauges for the live metrics surface — outbox depth (publications not
-// yet globally visible), proactive rejoins taken, and the Bloom-routing
-// hit/miss accounting.
-func (m *Model) SampleOps(set func(metric string, value int64)) {
-	set("outbox_depth", int64(m.PendingDigests()))
-	set("proactive_rejoins", m.ProactiveRejoins())
-	set("replica_hits", m.ReplicaHits())
-	set("false_positives", m.FalsePositives())
-	set("remote_contacts", m.RemoteContacts())
-}
-
 // SiteRecords reports a site's record count (locality tests).
 func (m *Model) SiteRecords(s netsim.SiteID) int {
 	m.mu.Lock()

@@ -1,8 +1,7 @@
 // Package roster names the Section IV comparison entrants: one table of
-// model configurations, each with its options bound, so the experiments,
-// the cross-check bridge, and the passd daemon build the same entrant
-// from the same name. It sits outside package arch because it imports
-// the models.
+// model configurations, each with its options bound, so the experiments
+// and the cross-check bridge build the same entrant from the same name.
+// It sits outside package arch because it imports the models.
 //
 // A sweep over one model's parameters (E6's relocated warehouse, E7's
 // refresh periods, E15's option-carrying passnet runs) calls the model's
@@ -81,13 +80,4 @@ func Lookup(name string) (arch.Builder, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Names lists the roster in presentation order.
-func Names() []string {
-	out := make([]string, len(entrants))
-	for i, e := range entrants {
-		out[i] = e.name
-	}
-	return out
 }

@@ -11,11 +11,11 @@ import (
 // Every entrant builds on the 4-site test network, acknowledges a publish,
 // and resolves it from every site once maintenance has run.
 func TestEveryEntrantPublishesAndLooksUp(t *testing.T) {
-	for _, name := range Names() {
-		t.Run(name, func(t *testing.T) {
-			build, ok := Lookup(name)
+	for _, e := range entrants {
+		t.Run(e.name, func(t *testing.T) {
+			build, ok := Lookup(e.name)
 			if !ok {
-				t.Fatalf("Names lists %q but Lookup misses it", name)
+				t.Fatalf("the roster lists %q but Lookup misses it", e.name)
 			}
 			net, sites := archtest.NewNetwork()
 			m := build(net, sites)

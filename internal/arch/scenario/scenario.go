@@ -74,9 +74,8 @@ type Offered struct {
 	Shed bool
 	// Tries counts the Publish calls made.
 	Tries int
-	// Total is the latency summed over every try; Latency is the
-	// acknowledged try's alone (zero when nothing was acked).
-	Total, Latency time.Duration
+	// Total is the latency summed over every try.
+	Total time.Duration
 }
 
 // Offer publishes p up to tries times (Publish is idempotent by the fault
@@ -92,7 +91,7 @@ func Offer(m arch.Model, p arch.Pub, tries int) (Offered, error) {
 		o.Total += d
 		switch {
 		case err == nil:
-			o.Acked, o.Latency = true, d
+			o.Acked = true
 			return o, nil
 		case ratelimit.Shed(err):
 			o.Shed = true

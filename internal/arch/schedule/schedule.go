@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"pass/internal/arch"
 	"pass/internal/arch/scenario"
@@ -250,48 +249,24 @@ func Generate(seed uint64, cfg Config) *Schedule {
 	return s
 }
 
-// SoakOptions shapes GenerateSoak's fault stream. The zero value selects
-// the defaults noted per field.
+// SoakOptions shapes GenerateSoak's fault stream. Every field is taken
+// as given; a zero CrashEvery or LossEvery disables that kind of fault.
 type SoakOptions struct {
-	// CrashEvery starts a crash wave every this many rounds (default 6).
+	// CrashEvery starts a crash wave every this many rounds.
 	CrashEvery int
 	// DownFor is how many rounds each victim stays down before its
-	// scheduled heal (default 3). The soak gate's consecutive-round
-	// streak budget derives from this bound.
+	// scheduled heal. The soak gate's consecutive-round streak budget
+	// derives from this bound.
 	DownFor int
-	// Victims is how many members each wave takes down (default 1).
+	// Victims is how many members each wave takes down.
 	Victims int
-	// LossEvery opens a packet-loss burst every this many rounds; 0 (the
-	// default) disables bursts.
+	// LossEvery opens a packet-loss burst every this many rounds.
 	LossEvery int
-	// LossFor is how many rounds a burst lasts (default 2).
+	// LossFor is how many rounds a burst lasts.
 	LossFor int
-	// LossRate is the burst drop probability (default 0.1, capped at 0.2
-	// so retry chains still converge).
+	// LossRate is the burst drop probability; keep it at or below 0.2 so
+	// retry chains still converge.
 	LossRate float64
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (o SoakOptions) withDefaults() SoakOptions {
-	if o.CrashEvery <= 0 {
-		o.CrashEvery = 6
-	}
-	if o.DownFor <= 0 {
-		o.DownFor = 3
-	}
-	if o.Victims <= 0 {
-		o.Victims = 1
-	}
-	if o.LossFor <= 0 {
-		o.LossFor = 2
-	}
-	if o.LossRate <= 0 {
-		o.LossRate = 0.1
-	}
-	if o.LossRate > 0.2 {
-		o.LossRate = 0.2
-	}
-	return o
 }
 
 // GenerateSoak derives a deterministic soak schedule: periodic crash
@@ -306,7 +281,6 @@ func (o SoakOptions) withDefaults() SoakOptions {
 // healed. Soak schedules draw no joins, leaves, or partitions; use
 // Generate for full-lifecycle churn.
 func GenerateSoak(seed uint64, cfg Config, opt SoakOptions) *Schedule {
-	opt = opt.withDefaults()
 	rng := xrand.New(seed)
 	s := &Schedule{Seed: seed, Cfg: cfg}
 	members := cfg.Sites - cfg.Joiners
@@ -319,7 +293,7 @@ func GenerateSoak(seed uint64, cfg Config, opt SoakOptions) *Schedule {
 				delete(healAt, v)
 			}
 		}
-		if round%opt.CrashEvery == 0 && round+opt.DownFor <= cfg.Rounds-2 {
+		if opt.CrashEvery > 0 && round%opt.CrashEvery == 0 && round+opt.DownFor <= cfg.Rounds-2 {
 			for v := 0; v < opt.Victims; v++ {
 				victim := anchors + rng.Intn(members-anchors)
 				if _, dup := healAt[victim]; dup {
@@ -387,10 +361,6 @@ type Outcome struct {
 	// (zero for models whose leavers simply go dark).
 	Leaves     int
 	LeaveBytes int64
-	// Shed counts publishes the model's admission controller refused
-	// (ratelimit errors); zero for models without one installed. Shed
-	// publishes are not acknowledged and leave the recall denominator.
-	Shed int
 	// GossipBytes / DupSuppressed / PullRounds mirror the model's
 	// arch.GossipMeter accounting at the end of the replay (all zero for
 	// models without a metered dissemination layer) — the E17 gossip
@@ -439,14 +409,6 @@ type RoundStats struct {
 	// Probe lookups travel the simulated network, so observed runs
 	// charge slightly more bytes than unobserved ones — deterministically.
 	Recall float64
-	// Shed is the cumulative admission-refusal count (Outcome.Shed so
-	// far).
-	Shed int
-	// PubLatencies holds this round's acknowledged-publish latencies
-	// (admission queueing included), in offer order — the feed for the
-	// observer's pass_latency_publish series. The slice is handed to the
-	// observer; it is not reused across rounds.
-	PubLatencies []time.Duration
 }
 
 // Observer receives the runner's per-round telemetry. OnEvent fires for
@@ -516,19 +478,6 @@ func RunObserved(s *Schedule, build arch.Builder, obs Observer) (Outcome, error)
 	acked := make(map[provenance.ID]bool)
 	var unacked []arch.Pub
 	seq := 0
-	var roundLat []time.Duration
-	// offer re-offers p (scenario.Offer): an admission refusal is load
-	// shedding, not a fault, so the publish stays unacknowledged.
-	offer := func(p arch.Pub, attempts int) (bool, error) {
-		o, err := scenario.Offer(m, p, attempts)
-		if o.Shed {
-			out.Shed++
-		}
-		if o.Acked {
-			roundLat = append(roundLat, o.Latency)
-		}
-		return o.Acked, err
-	}
 
 	// pendingJoins holds join events that could not complete this round
 	// (the joiner or every possible contact was unreachable); they retry
@@ -641,16 +590,18 @@ func RunObserved(s *Schedule, build arch.Builder, obs Observer) (Outcome, error)
 				provenance.Attr(provenance.KeyDomain, provenance.String("membership")), zone)
 			seq++
 			out.Offered++
-			ok, err := offer(p, offerRetries)
+			// An admission refusal is load shedding, not a fault: the
+			// publish stays unacknowledged.
+			o, err := scenario.Offer(m, p, offerRetries)
 			if err != nil {
 				return out, err
 			}
-			if ok {
+			if o.Acked {
 				acked[p.ID] = true
 				// The at-least-once pipeline re-sends what was just taken;
 				// a re-offer that finds the site unavailable is dropped.
 				for k := 0; k < cfg.Reoffer; k++ {
-					if _, err := offer(p, 1); err != nil {
+					if _, err := scenario.Offer(m, p, 1); err != nil {
 						return out, err
 					}
 				}
@@ -662,8 +613,7 @@ func RunObserved(s *Schedule, build arch.Builder, obs Observer) (Outcome, error)
 			return out, fmt.Errorf("%s tick (round %d): %w", m.Name(), round, err)
 		}
 		if obs != nil {
-			obs.OnRound(roundStats(round, net, members, leftIdx, &out, acked, m, roundLat))
-			roundLat = nil
+			obs.OnRound(roundStats(round, net, members, leftIdx, &out, acked, m))
 		}
 	}
 
@@ -678,11 +628,11 @@ func RunObserved(s *Schedule, build arch.Builder, obs Observer) (Outcome, error)
 		return out, err
 	}
 	for _, p := range unacked {
-		ok, err := offer(p, healRetries)
+		o, err := scenario.Offer(m, p, healRetries)
 		if err != nil {
 			return out, err
 		}
-		if ok {
+		if o.Acked {
 			acked[p.ID] = true
 		}
 	}
@@ -702,9 +652,7 @@ func RunObserved(s *Schedule, build arch.Builder, obs Observer) (Outcome, error)
 			obs.OnRound(RoundStats{
 				Round: cfg.Rounds + out.ConvRounds, Offered: out.Offered, Acked: len(acked),
 				Live: net.UpCount(), Bytes: st.Bytes, Msgs: st.Messages, Recall: out.Recall,
-				Shed: out.Shed, PubLatencies: roundLat,
 			})
-			roundLat = nil
 		}
 		if out.Recall == 1 {
 			out.ConvRounds++
@@ -741,7 +689,7 @@ func retryPending[T any](pending []T, try func(T) (bool, error), done *int) ([]T
 // count, and a two-querier recall probe over everything acknowledged so
 // far. Queriers are the first two live, non-departed members (anchors in
 // practice — the generator never crashes them).
-func roundStats(round int, net *netsim.Network, members []netsim.SiteID, leftIdx map[int]bool, out *Outcome, acked map[provenance.ID]bool, m arch.Model, lats []time.Duration) RoundStats {
+func roundStats(round int, net *netsim.Network, members []netsim.SiteID, leftIdx map[int]bool, out *Outcome, acked map[provenance.ID]bool, m arch.Model) RoundStats {
 	queriers := make([]netsim.SiteID, 0, 2)
 	for i := 0; i < len(members) && len(queriers) < 2; i++ {
 		if !net.IsDown(members[i]) && !leftIdx[i] {
@@ -752,7 +700,7 @@ func roundStats(round int, net *netsim.Network, members []netsim.SiteID, leftIdx
 	rs := RoundStats{
 		Round: round, Offered: out.Offered, Acked: len(acked),
 		Live: net.UpCount(), Bytes: st.Bytes, Msgs: st.Messages,
-		Recall: 1, Shed: out.Shed, PubLatencies: lats,
+		Recall: 1,
 	}
 	if len(queriers) > 0 {
 		rs.Recall = scenario.LookupRecall(m, queriers, acked)

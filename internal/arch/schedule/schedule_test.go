@@ -350,7 +350,7 @@ func (r *seriesRecorder) OnRound(st RoundStats) {
 // probe traffic accounting, and two observed replays agree byte-for-byte.
 func TestRunObserved(t *testing.T) {
 	cfg := Config{Sites: 16, SitesPerZone: 4, Rounds: 18, PubsPerRound: 4}
-	s := GenerateSoak(7, cfg, SoakOptions{CrashEvery: 6, DownFor: 3})
+	s := GenerateSoak(7, cfg, SoakOptions{CrashEvery: 6, DownFor: 3, Victims: 1})
 	build := func(net *netsim.Network, sites []netsim.SiteID) arch.Model {
 		return central.New(net, sites[0])
 	}

@@ -223,3 +223,28 @@ func TestSoakRestartSmoke(t *testing.T) {
 		})
 	}
 }
+
+// TestSoakGateBreaches: the real-process gate can say no. With no streak
+// budget, the one partitioned round — each passnet half sees only its
+// own side's records — is a breach, and Soak reports it.
+func TestSoakGateBreaches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos soak skipped in -short")
+	}
+	const threshold = 0.99
+	res, err := Soak(SoakConfig{
+		Cluster: Config{
+			N: 3, Mode: "passnet", Seed: 23,
+			DataRoot: dataRoot(t), LogDir: logDir(t),
+		},
+		Cycles: 1, Pubs: 6, Ticks: 1, Partition: true,
+		Threshold: threshold, MaxStreak: 0, ProbeLimit: 5,
+	}, metrics.NewRegistry())
+	if err != nil {
+		t.Fatalf("soak: %v", err)
+	}
+	if res.OK || res.Breaches != 1 || res.MinRecall >= threshold {
+		t.Fatalf("want one breach below %.2f, got OK=%v breaches=%d min=%.3f",
+			threshold, res.OK, res.Breaches, res.MinRecall)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"pass/internal/metrics"
-	"pass/internal/obs"
 	"pass/internal/provenance"
 )
 
@@ -33,10 +32,11 @@ import (
 // that inequality is the soak's headline claim and the reason nodes
 // carry WALs at all.
 //
-// Throughout, per-round recall feeds an obs.Windowed gate (the E17/E18
-// convention): transient dips during convergence or the optional
-// partition epoch are tolerated up to MaxStreak consecutive rounds, a
-// longer stay below Threshold is a breach.
+// Throughout, per-round recall feeds a metrics.Windowed gate (the one
+// the RecallSoak conformance law uses): transient dips during
+// convergence or the optional partition epoch are tolerated up to
+// MaxStreak consecutive rounds, a longer stay below Threshold is a
+// breach.
 
 // soakDomain tags every soak record so queries score only soak traffic.
 const soakDomain = "soak"
@@ -96,7 +96,7 @@ type SoakResult struct {
 // Soak boots a durable cluster and drives the schedule above. Recovery
 // and WAL series land in reg (pass_recovery_rounds, pass_recovery_bytes
 // labeled by wipe mode, plus cluster-summed pass_wal_*_total), so a
-// daemon or test scraping reg sees the soak's durability story.
+// test scraping reg sees the soak's durability story.
 func Soak(cfg SoakConfig, reg *metrics.Registry) (*SoakResult, error) {
 	if cfg.Cluster.DataRoot == "" {
 		return nil, fmt.Errorf("soak: Cluster.DataRoot required (durable restarts are the point)")
@@ -123,7 +123,7 @@ func Soak(cfg SoakConfig, reg *metrics.Registry) (*SoakResult, error) {
 		}
 	}
 
-	gate := obs.NewWindowed(cfg.Threshold, cfg.MaxStreak)
+	gate := metrics.NewWindowed(cfg.Threshold, cfg.MaxStreak)
 	acked := make(map[provenance.ID]bool)
 	res := &SoakResult{OK: true, Joined: -1}
 	pubSeq := 0

@@ -220,7 +220,7 @@ func (r *Runner) E18Overload() (*Result, error) {
 				}
 			}
 			if round < rounds {
-				for _, q := range gen.Queries(round) {
+				for _, q := range gen.Queries() {
 					from := sites[q.Client%len(sites)]
 					_, d, err := m.QueryAttr(from, "hot", provenance.String(fmt.Sprintf("h%d", q.Key)))
 					if err != nil {

@@ -345,13 +345,16 @@ func (r *Runner) e15SoftstateViews(nPer int) (e15Out, error) {
 	}
 	// seenFrom reports the fraction of the published records a querier
 	// can see, or -1 when its attribute shard is unreachable (the honest
-	// sharded-soft-state outage).
-	seenFrom := func(q netsim.SiteID, total int) float64 {
+	// sharded-soft-state outage). Any other query error is a model bug.
+	seenFrom := func(q netsim.SiteID, total int) (float64, error) {
 		got, _, err := m.QueryAttr(q, provenance.KeyDomain, domain)
-		if err != nil {
-			return -1
+		switch {
+		case arch.IsUnavailable(err):
+			return -1, nil
+		case err != nil:
+			return 0, fmt.Errorf("softstate query from %d: %w", q, err)
 		}
-		return float64(len(got)) / float64(total)
+		return float64(len(got)) / float64(total), nil
 	}
 
 	net.Partition(left, right)
@@ -373,7 +376,14 @@ func (r *Runner) e15SoftstateViews(nPer int) (e15Out, error) {
 		return fmt.Sprintf("%.2f", v)
 	}
 	gsMid := m.GossipStats().Bytes
-	seenL, seenR := seenFrom(left[1], 2*nPer), seenFrom(right[1], 2*nPer)
+	seenL, err := seenFrom(left[1], 2*nPer)
+	if err != nil {
+		return o, err
+	}
+	seenR, err := seenFrom(right[1], 2*nPer)
+	if err != nil {
+		return o, err
+	}
 	o.rows = append(o.rows,
 		[]any{"softstate+views", "partitioned", "left", fmtSeen(seenL), "-", converged(), "-", gsMid, "-", "-"},
 		[]any{"softstate+views", "partitioned", "right", fmtSeen(seenR), "-", converged(), "-", gsMid, "-", "-"})
@@ -386,7 +396,10 @@ func (r *Runner) e15SoftstateViews(nPer int) (e15Out, error) {
 		}
 	}
 	gsHealed := m.GossipStats().Bytes
-	seenHealed := seenFrom(left[1], 2*nPer)
+	seenHealed, err := seenFrom(left[1], 2*nPer)
+	if err != nil {
+		return o, err
+	}
 	o.rows = append(o.rows,
 		[]any{"softstate+views", "healed", "left", fmtSeen(seenHealed), "-", converged(), "-", gsHealed, "-", "-"})
 	o.kvs = append(o.kvs,

@@ -1,7 +1,9 @@
 // Package metrics provides the measurement primitives used throughout the
 // PASS reproduction: counters, latency histograms with percentile
-// estimation, simple rate meters, and a fixed-width table renderer used by
-// the experiment harness to print paper-style result tables.
+// estimation, simple rate meters, a fixed-width table renderer used by
+// the experiment harness to print paper-style result tables, the labeled
+// registry real nodes serve on /metrics, and the windowed recall gate the
+// soaks share.
 //
 // All types are safe for concurrent use unless otherwise noted.
 package metrics

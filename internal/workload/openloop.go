@@ -187,7 +187,7 @@ func (g *OpenLoop) Arrivals(round int) []Arrival {
 
 // Queries returns the closed-loop query intents for one round; they
 // follow the hot-key skew.
-func (g *OpenLoop) Queries(round int) []QueryIntent {
+func (g *OpenLoop) Queries() []QueryIntent {
 	n := g.count(g.cfg.QueriesPerRound)
 	out := make([]QueryIntent, 0, n)
 	for i := 0; i < n; i++ {
