@@ -29,6 +29,11 @@
 #   make bench-check   — run the suite at the baseline's scale and fail on
 #                        runtime regressions or broken recall invariants
 #                        (cmd/benchcheck).
+#   make fuzz          — fuzz every decoder that reads a socket or a
+#                        disk for 10 s each: no panic, no allocation
+#                        sized by a hostile count, and every accepted
+#                        frame round-trips. Not part of check; CI runs
+#                        it as its own job.
 #   make same-tables   — the no-behaviour-change proof: diff the twelve
 #                        deterministic experiment tables at scale 0.1
 #                        against $(REF) (default HEAD). Not part of check:
@@ -36,7 +41,7 @@
 
 GO ?= go
 
-.PHONY: all build test short vet race check bench bench-quick bench-check bench-smoke docs-check same-tables
+.PHONY: all build test short vet race check bench bench-quick bench-check bench-smoke docs-check fuzz same-tables
 
 all: build
 
@@ -102,6 +107,17 @@ bench-quick:
 bench-check:
 	$(GO) run ./cmd/passbench -scale 0.5 -json BENCH.json >/dev/null
 	$(GO) run ./cmd/benchcheck -baseline BENCH_3.json -current BENCH.json
+
+# `go test -fuzz` takes one target at a time, so each decoder's target
+# runs on its own line. A failing input is written under the package's
+# testdata/fuzz/ and replays in every later `go test`.
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStore$$' -fuzztime 10s ./internal/node
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeltas$$' -fuzztime 10s ./internal/node
+	$(GO) test -run '^$$' -fuzz '^FuzzViewApply$$' -fuzztime 10s ./internal/arch/siteview
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime 10s ./internal/arch/siteview
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/provenance
 
 # Extract $(REF) with git archive, run the deterministic tables there and
 # in the working tree, drop the wall-clock "(… completed in …)" lines, and

@@ -1,6 +1,8 @@
 package siteview
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"pass/internal/netsim"
@@ -16,7 +18,7 @@ func mkID(b byte) provenance.ID {
 
 // buildTestView applies a few origins' delta streams, including enough
 // distinct attribute keys to force at least one filter rebuild.
-func buildTestView(t *testing.T) *View {
+func buildTestView(t testing.TB) *View {
 	t.Helper()
 	v := NewView(7)
 	for origin := netsim.SiteID(1); origin <= 3; origin++ {
@@ -24,6 +26,8 @@ func buildTestView(t *testing.T) *View {
 			keys := []string{
 				"domain\x00sensors",
 				"n\x00" + string(rune('a'+byte(origin))) + string(rune('a'+byte(seq))),
+				// A binary canonical value, as an integer's is.
+				"v\x00" + string([]byte{0x80, 0xff, byte(origin), byte(seq)}),
 			}
 			d := NewDelta(origin, seq, []provenance.ID{mkID(byte(origin)*16 + byte(seq))}, keys)
 			if !v.Apply(d) {
@@ -112,11 +116,70 @@ func TestDecodedViewKeepsApplying(t *testing.T) {
 	}
 }
 
+// TestEncodeKeepsBinaryKeys: a key that is not valid UTF-8 comes back
+// byte for byte, so a query for it still finds its sites.
+func TestEncodeKeepsBinaryKeys(t *testing.T) {
+	v := buildTestView(t)
+	data, err := v.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeView(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "v\x00" + string([]byte{0x80, 0xff, 2, 3})
+	if s := got.SitesFor(key); len(s) != 1 || s[0] != 2 {
+		t.Fatalf("decoded view has sites %v for a binary key, want [2]", s)
+	}
+	if !got.MayHold(2, key) {
+		t.Fatal("decoded view's filter for origin 2 lost a binary key")
+	}
+}
+
 func TestDecodeViewRejectsGarbage(t *testing.T) {
 	if _, err := DecodeView([]byte("{not json")); err == nil {
 		t.Fatal("garbage decoded")
 	}
 	if _, err := DecodeView([]byte(`{"owner":1,"locs":[{"id":"AAE=","home":2}]}`)); err == nil {
 		t.Fatal("short location id accepted")
+	}
+	data, err := buildTestView(t).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(data); cut++ {
+		if _, err := DecodeView(data[:cut]); err == nil {
+			t.Fatalf("frame truncated to %d of %d bytes accepted", cut, len(data))
+		}
+	}
+	if _, err := DecodeView(append(append([]byte(nil), data...), 0)); err == nil {
+		t.Fatal("frame with a trailing byte accepted")
+	}
+	huge := binary.AppendUvarint(nil, 1<<62)
+	id := make([]byte, 32)
+	frames := [][]byte{
+		append([]byte{viewFrameV1, 0}, huge...),                                          // 2^62 origins
+		append([]byte{viewFrameV1, 0, 0}, huge...),                                       // 2^62 locations
+		append([]byte{viewFrameV1, 0, 0, 0}, huge...),                                    // 2^62 keys
+		append(append([]byte{viewFrameV1, 0, 0, 0, 1, 1, 'k'}, huge...), 0),              // 2^62 sites
+		append([]byte{viewFrameV1, 0, 0, 0, 1}, huge...),                                 // key length 2^62
+		{viewFrameV1, 0x80, 0x00, 0, 0, 0},                                               // non-minimal owner
+		{viewFrameV1, 0, 2, 4, 1, 2, 1, 0, 0},                                            // origins descend
+		{viewFrameV1, 0, 0, 0, 2, 1, 'b', 0, 1, 'a', 0},                                  // keys descend
+		{viewFrameV1, 0, 0, 0, 1, 1, 'k', 2, 4, 2},                                       // sites descend
+		append(append(append([]byte{viewFrameV1, 0, 0, 2}, id...), 0), append(id, 0)...), // a location twice
+	}
+	var before, after runtime.MemStats
+	for _, f := range frames {
+		runtime.ReadMemStats(&before)
+		_, err := DecodeView(f)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("frame %x accepted", f)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 4096 {
+			t.Errorf("frame %x (%d bytes) allocated %d bytes", f, len(f), d)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package siteview
 
 import (
+	"bytes"
 	"testing"
 
 	"pass/internal/netsim"
@@ -114,6 +115,41 @@ func FuzzViewApply(f *testing.F) {
 		}
 		if got.Ignored() != int64(dups) {
 			t.Fatalf("ignored = %d, want the %d injected duplicates", got.Ignored(), dups)
+		}
+	})
+}
+
+// FuzzDecodeView covers the view decoder every snapshot load and TSnap
+// catch-up pull goes through. No input may panic, no count field may
+// reserve more entries than the payload could hold (DecodeView checks
+// each against the remaining bytes before it sizes a map), and every
+// frame accepted re-encodes to exactly its input.
+func FuzzDecodeView(f *testing.F) {
+	full, _ := buildTestView(f).Encode()
+	empty, _ := NewView(3).Encode()
+	for _, fr := range [][]byte{full, empty} {
+		f.Add(fr)
+		for _, cut := range []int{1, 2, 3, len(fr) / 2, len(fr) - 1} {
+			if cut < len(fr) {
+				f.Add(fr[:cut])
+			}
+		}
+	}
+	f.Add([]byte(`{"owner":1}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := DecodeView(b)
+		if err != nil {
+			return
+		}
+		if v.Locations()*minLocEntry > len(b) || len(v.attrSites)*minAttrEntry > len(b) {
+			t.Fatalf("decoded %d locations and %d keys from %d bytes", v.Locations(), len(v.attrSites), len(b))
+		}
+		got, err := v.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("accepted frame does not round-trip:\n got %x\nwant %x", got, b)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pass/internal/arch"
+	"pass/internal/arch/siteview"
 	"pass/internal/netsim"
 	"pass/internal/provenance"
 	"pass/internal/wire"
@@ -289,7 +290,7 @@ func TestWALFailureNacks(t *testing.T) {
 			// A gossiped delta the log could not take is nacked and leaves
 			// the view where it was, so the retransmit is applied, not
 			// acked as already seen.
-			b, _ := json.Marshal(wireDelta{Origin: 7, Seq: 1, IDs: [][]byte{make([]byte, 32)}, Attrs: []string{"k"}})
+			b := appendDeltas(nil, 7, []*siteview.Delta{siteview.NewDelta(7, 1, []provenance.ID{{}}, []string{"k"})})
 			var got wire.Type
 			nd.handleDelta(b, func(ty wire.Type, _ []byte) { got = ty })
 			nd.mu.Lock()

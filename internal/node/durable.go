@@ -12,7 +12,9 @@ package node
 //	'r'  roster JSON (the TPeers payload) — a restarted node knows its
 //	     peers without harness help
 //	'p'  own publish: 8-byte LE sequence + encoded provenance record
-//	'd'  applied gossip delta (wireDelta JSON)
+//	'd'  applied gossip: the in-sequence run of one TDelta frame, as
+//	     a delta frame (gossip.go; a legacy JSON TDelta is logged as
+//	     it came, and so are all deltas in logs written before frames)
 //	'a'  outbox advance: 4-byte LE peer + 8-byte LE acked sequence
 //	's'  applied DHT placement list (placement.go's frame: one per
 //	     TStore frame, per local seat of a put, or per pulled chunk;
@@ -21,9 +23,10 @@ package node
 // The recovery contract is replay-on-top-of-snapshot idempotence: a crash
 // between the snapshot rename and the wal.Reset leaves snapshot + full
 // log, and replaying every logged mutation over the restored snapshot
-// must land on the same state. Publishes skip when the store already
-// holds the record, deltas are refused by the view's sequence check,
-// acks take the max, and placements re-add records the store dedups.
+// must land on the same state. Publishes skip when the snapshot's
+// sequence already covers them, deltas are refused by the view's
+// sequence check, acks take the max, and placements re-add records the
+// store dedups.
 //
 // Two restart flavours emerge:
 //
@@ -76,15 +79,6 @@ var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
 func (n *Node) walFile() string  { return filepath.Join(n.cfg.DataDir, "wal.log") }
 func (n *Node) snapFile() string { return filepath.Join(n.cfg.DataDir, "snap") }
 
-// snapDelta is one retained own-publish delta in a snapshot: the window
-// of publishes some peer may not have acknowledged yet, kept so a
-// restarted node can rebuild its per-peer outboxes.
-type snapDelta struct {
-	Seq   uint64   `json:"seq"`
-	IDs   [][]byte `json:"ids"`
-	Attrs []string `json:"attrs"`
-}
-
 // snapshot is the compacted on-disk state: magic, CRC, then this JSON.
 type snapshot struct {
 	Mode   string `json:"mode"`
@@ -93,8 +87,11 @@ type snapshot struct {
 	// passnet.
 	Seq   uint64           `json:"seq,omitempty"`
 	Acked map[int32]uint64 `json:"acked,omitempty"`
-	Own   []snapDelta      `json:"own,omitempty"`
-	View  []byte           `json:"view,omitempty"`
+	// Own is the retained own-publish window — the publishes some peer
+	// may not have acknowledged yet, kept so a restarted node can rebuild
+	// its per-peer outboxes — as one delta frame.
+	Own  []byte `json:"own,omitempty"`
+	View []byte `json:"view,omitempty"`
 
 	// shared: the node's primary record store.
 	Recs [][]byte `json:"recs,omitempty"`
@@ -179,9 +176,14 @@ func (n *Node) loadSnapshot() error {
 			}
 			n.view = v
 		}
-		for _, sd := range s.Own {
-			n.own[sd.Seq] = siteview.NewDelta(
-				netsim.SiteID(n.cfg.ID), sd.Seq, bytesIDs(sd.IDs), sd.Attrs)
+		if len(s.Own) > 0 {
+			ds, err := decodeDeltas(s.Own)
+			if err != nil {
+				return fmt.Errorf("node: decode snapshot own deltas: %w", err)
+			}
+			for _, d := range ds {
+				n.own[d.Seq] = d
+			}
 		}
 		for _, rb := range s.Recs {
 			rec, err := provenance.Decode(rb)
@@ -248,28 +250,26 @@ func (n *Node) replayRecord(p []byte) error {
 			return fmt.Errorf("node: short wal publish")
 		}
 		seq := binary.LittleEndian.Uint64(body[:8])
+		if seq <= n.seq {
+			// Already in the snapshot. Judged by sequence, not by record:
+			// a record put twice holds two sequence numbers, and skipping
+			// the second would let a restart reuse one peers have applied.
+			return nil
+		}
 		rec, err := provenance.Decode(body[8:])
 		if err != nil {
 			return fmt.Errorf("node: wal publish record: %w", err)
 		}
-		id := rec.ComputeID()
-		if _, ok := n.store.Get(id); ok {
-			return nil // already in the snapshot
-		}
-		n.applyOwnPublishLocked(seq, id, rec)
+		n.applyOwnPublishLocked(seq, rec.ComputeID(), rec)
 		return nil
 	case 'd':
-		var wd wireDelta
-		if err := json.Unmarshal(body, &wd); err != nil {
+		ds, err := decodeDeltas(body)
+		if err != nil {
 			return fmt.Errorf("node: wal delta: %w", err)
 		}
-		ids := make([]provenance.ID, len(wd.IDs))
-		for i, b := range wd.IDs {
-			copy(ids[i][:], b)
-		}
-		// A stale sequence is refused by the view itself — idempotent.
-		n.view.Apply(siteview.NewDelta(netsim.SiteID(wd.Origin), wd.Seq, ids, wd.Attrs))
-		return nil
+		// Stale deltas are skipped, as live — idempotent.
+		_, err = n.applyDeltasLocked(body, ds)
+		return err
 	case 'a':
 		if len(body) != 12 {
 			return fmt.Errorf("node: short wal advance")
@@ -445,14 +445,13 @@ func (n *Node) writeSnapshotLocked() error {
 			s.Acked[pid] = sq
 		}
 		n.pruneOwnLocked()
-		seqs := make([]uint64, 0, len(n.own))
-		for sq := range n.own {
-			seqs = append(seqs, sq)
+		own := make([]*siteview.Delta, 0, len(n.own))
+		for _, d := range n.own {
+			own = append(own, d)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, sq := range seqs {
-			d := n.own[sq]
-			s.Own = append(s.Own, snapDelta{Seq: sq, IDs: idsBytes(d.IDs), Attrs: d.AttrKeys})
+		sort.Slice(own, func(i, j int) bool { return own[i].Seq < own[j].Seq })
+		if len(own) > 0 {
+			s.Own = appendDeltas(nil, n.cfg.ID, own)
 		}
 		view, err := n.view.Encode()
 		if err != nil {
@@ -513,14 +512,6 @@ func (n *Node) writeSnapshotLocked() error {
 		return fmt.Errorf("node: snapshot rename: %w", err)
 	}
 	return nil
-}
-
-func bytesIDs(bs [][]byte) []provenance.ID {
-	ids := make([]provenance.ID, len(bs))
-	for i, b := range bs {
-		copy(ids[i][:], b)
-	}
-	return ids
 }
 
 // ---- catch-up: the cold-rejoin pull path ----

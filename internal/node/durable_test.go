@@ -436,3 +436,98 @@ func TestColdRejoinDHTPullsPlacements(t *testing.T) {
 		t.Fatalf("second restart recovered %d records, want %d", got, prevLen)
 	}
 }
+
+// TestIntAttrQueryThroughPeer: attribute keys are binary (an integer's
+// canonical value is raw bytes), and must survive every path a key takes
+// to a peer's view — the gossip frame, the snapshot a restart decodes,
+// and the TSnap view a wiped node pulls — or a query through that peer
+// misses the record. The origin restarts from a snapshot before it
+// gossips, so the frames it sends are rebuilt from the snapshot's
+// retained own deltas.
+func TestIntAttrQueryThroughPeer(t *testing.T) {
+	nodes, cfgs, roster, c := bootDurableCluster(t, "passnet", 3, 0)
+	tickAll(t, c, nodes)
+	values := []int64{1, 63, 64, 200, 1000, 70000}
+	want := make(map[int64]provenance.ID)
+	for _, v := range values {
+		id, err := c.Put(nodes[0].Addr(), testRecord(t, int(v), "int-attr"))
+		if err != nil {
+			t.Fatalf("put n=%d: %v", v, err)
+		}
+		want[v] = id
+	}
+	check := func(stage string, at *Node) {
+		t.Helper()
+		var missed []int64
+		for _, v := range values {
+			ids, err := c.QueryAttr(at.Addr(), "n", provenance.Int64(v))
+			if err != nil {
+				t.Fatalf("%s: query n=%d: %v", stage, v, err)
+			}
+			if !containsID(ids, want[v]) {
+				missed = append(missed, v)
+			}
+		}
+		if len(missed) > 0 {
+			t.Errorf("%s: query through node %d misses n=%v", stage, at.cfg.ID, missed)
+		}
+	}
+	if err := nodes[0].Compact(); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].Close()
+	nodes[0] = restartNode(t, cfgs[0])
+	tickAll(t, c, nodes)
+	check("after gossip", nodes[1])
+
+	if err := nodes[1].Compact(); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1].Close()
+	nd := restartNode(t, cfgs[1])
+	check("after a restart from a snapshot", nd)
+
+	nd.Close()
+	if err := os.RemoveAll(cfgs[1].DataDir); err != nil {
+		t.Fatal(err)
+	}
+	nd = restartNode(t, cfgs[1])
+	if err := c.SetPeers(nd.Addr(), roster); err != nil {
+		t.Fatal(err)
+	}
+	tickAll(t, c, []*Node{nd}) // the catch-up pull over TSnap
+	check("after a wiped rejoin", nd)
+}
+
+// TestDuplicatePutKeepsSequence: a record put twice spends two sequence
+// numbers, and a restart must recover both. Were the second one lost,
+// the next publish would reuse a sequence number the peers have already
+// applied, and they would drop it as stale.
+func TestDuplicatePutKeepsSequence(t *testing.T) {
+	nodes, cfgs, _, c := bootDurableCluster(t, "passnet", 2, 0)
+	tickAll(t, c, nodes)
+	acked := make(map[provenance.ID]bool)
+	rec := testRecord(t, 1, "dup")
+	for i := 0; i < 2; i++ {
+		id, err := c.Put(nodes[0].Addr(), rec)
+		if err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		acked[id] = true
+	}
+	tickAll(t, c, nodes)
+	nodes[0].Close()
+	nodes[0] = restartNode(t, cfgs[0])
+	if st, err := c.Stat(nodes[0].Addr()); err != nil || st.Seq != 2 {
+		t.Fatalf("restarted origin: seq %d (err %v), want 2", st.Seq, err)
+	}
+	id, err := c.Put(nodes[0].Addr(), testRecord(t, 2, "dup"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked[id] = true
+	tickAll(t, c, nodes)
+	if r := queryRecall(t, c, nodes[1].Addr(), "dup", acked); r != 1.0 {
+		t.Fatalf("recall via the peer after the restart = %.3f, want 1.0", r)
+	}
+}

@@ -9,10 +9,12 @@
 // Two modes mirror the two socket-capable architectures:
 //
 //   - "passnet": the node keeps a local store plus its own
-//     siteview.View; publishes cut per-publish deltas that gossip to
-//     every peer in strict per-origin sequence (the passnet model's
-//     outbox discipline), and queries union the local postings with
-//     TAttrQ calls to the view's candidate peers.
+//     siteview.View; each publish cuts one delta into every peer's
+//     outbox, and each TTick sends every peer its whole outbox as one
+//     binary delta frame, in strict per-origin sequence (the passnet
+//     model's outbox discipline; gossip.go has the frame). Queries union
+//     the local postings with TAttrQ calls to the view's candidate
+//     peers.
 //   - "dht": node IDs hash onto the same ring as the dht model
 //     (identical position formula), records and attribute postings are
 //     placed at the first three live successors of their hash (one
@@ -102,14 +104,6 @@ type Status struct {
 	CatchingUp bool  `json:"catching_up,omitempty"` // declared degraded mode until first pull
 	WalRecords int64 `json:"wal_records,omitempty"`
 	WalBytes   int64 `json:"wal_bytes,omitempty"`
-}
-
-// wireDelta is the JSON form of a siteview delta on the wire.
-type wireDelta struct {
-	Origin int32    `json:"origin"`
-	Seq    uint64   `json:"seq"`
-	IDs    [][]byte `json:"ids"`
-	Attrs  []string `json:"attrs"`
 }
 
 // Node is one running PASS node.
@@ -517,82 +511,66 @@ func (n *Node) passnetPut(id provenance.ID, rec *provenance.Record, reply func(w
 	reply(wire.TPutOK, id[:])
 }
 
-// passnetTick drains each peer's outbox in strict sequence: deltas are
-// sent oldest-first with retries, and the first undelivered delta
-// blocks the rest for that peer (siteview.Apply refuses gaps, so
-// in-order delivery is correctness, not politeness).
+// passnetTick sends each peer its whole pending outbox as one delta
+// frame, with retries and no lock held. Puts keep appending while the
+// frame is in flight, so an ack trims the outbox by sequence — only what
+// the frame carried — and logs one 'a' record for the peer. An
+// unreachable peer keeps its outbox for the next tick. Resending is safe:
+// the peer skips the deltas it already has, and a frame is always the
+// outbox's in-sequence prefix (siteview.Apply refuses gaps, so in-order
+// delivery is correctness, not politeness). A frame past the datagram
+// ceiling rides the stream framing.
 func (n *Node) passnetTick(reply func(wire.Type, []byte)) {
 	n.mu.Lock()
 	order := append([]int32(nil), n.order...)
 	n.mu.Unlock()
 	for _, pid := range order {
-		for {
-			n.mu.Lock()
-			pending := n.outbox[pid]
-			if len(pending) == 0 {
-				n.mu.Unlock()
-				break
-			}
-			d := pending[0]
-			addr := n.peers[pid]
-			n.mu.Unlock()
-			b, _ := json.Marshal(wireDelta{
-				Origin: int32(d.Origin), Seq: d.Seq,
-				IDs: idsBytes(d.IDs), Attrs: d.AttrKeys,
-			})
-			if _, err := n.ep.RequestRetry(addr, wire.TDelta, b, sendRetries); err != nil {
-				break // peer unreachable this round; keep the outbox
-			}
-			n.mu.Lock()
-			if len(n.outbox[pid]) > 0 && n.outbox[pid][0] == d {
-				n.outbox[pid] = n.outbox[pid][1:]
-				// The peer acknowledged through d.Seq; log the advance so
-				// a restart does not re-gossip already-delivered deltas.
-				n.advanceAckedLocked(pid, d.Seq)
-				var body [12]byte
-				binary.LittleEndian.PutUint32(body[:4], uint32(pid))
-				binary.LittleEndian.PutUint64(body[4:12], d.Seq)
-				// An unlogged advance only re-gossips d after a restart,
-				// which the peer's sequence check absorbs.
-				_ = n.walAppend('a', body[:], nil)
-			}
-			n.mu.Unlock()
+		n.mu.Lock()
+		pending := append([]*siteview.Delta(nil), n.outbox[pid]...)
+		addr := n.peers[pid]
+		n.mu.Unlock()
+		if len(pending) == 0 {
+			continue
 		}
+		frame := appendDeltas(nil, n.cfg.ID, pending)
+		if _, err := n.ep.RequestRetry(addr, wire.TDelta, frame, sendRetries); err != nil {
+			continue // peer unreachable this round; keep the outbox
+		}
+		last := pending[len(pending)-1].Seq
+		n.mu.Lock()
+		out := n.outbox[pid]
+		k := 0
+		for k < len(out) && out[k].Seq <= last {
+			k++
+		}
+		n.outbox[pid] = out[k:]
+		// The peer acknowledged through last; log the advance so a
+		// restart does not re-gossip already-delivered deltas.
+		n.advanceAckedLocked(pid, last)
+		var body [12]byte
+		binary.LittleEndian.PutUint32(body[:4], uint32(pid))
+		binary.LittleEndian.PutUint64(body[4:12], last)
+		// An unlogged advance only re-gossips the frame after a restart,
+		// which the peer's sequence check absorbs.
+		_ = n.walAppend('a', body[:], nil)
+		n.mu.Unlock()
 	}
 	reply(wire.TTickOK, nil)
 }
 
-func idsBytes(ids []provenance.ID) [][]byte {
-	out := make([][]byte, len(ids))
-	for i, id := range ids {
-		out[i] = append([]byte(nil), id[:]...)
-	}
-	return out
-}
-
-// handleDelta applies one gossiped delta to the node's view. A replayed
-// delta (sequence already seen — the peer's ack was lost) is
-// re-acknowledged so the sender can advance; a gap is an error.
+// handleDelta applies one gossiped delta frame to the node's view. Its
+// stale deltas (already applied — the peer's ack was lost) are skipped,
+// so a replayed frame is re-acknowledged and the sender can advance; a
+// gap is an error, after the run before it has applied.
 func (n *Node) handleDelta(payload []byte, reply func(wire.Type, []byte)) {
-	var wd wireDelta
-	if err := json.Unmarshal(payload, &wd); err != nil {
+	ds, err := decodeDeltas(payload)
+	if err != nil {
 		reply(wire.TErr, []byte(err.Error()))
 		return
 	}
-	ids := make([]provenance.ID, len(wd.IDs))
-	for i, b := range wd.IDs {
-		copy(ids[i][:], b)
-	}
-	d := siteview.NewDelta(netsim.SiteID(wd.Origin), wd.Seq, ids, wd.Attrs)
 	n.mu.Lock()
-	seen := n.view.Seq(d.Origin)
-	applied := wd.Seq == seen+1
-	var err error
-	if applied {
-		// Log before the view moves: a nacked delta is retransmitted, and
-		// must then still be next in sequence rather than acked as seen.
-		err = n.walAppend('d', payload, func() { n.view.Apply(d) })
-	} else if wd.Seq > seen && n.log != nil {
+	gap, err := n.applyDeltasLocked(payload, ds)
+	if gap && n.log != nil {
 		// A gap on a durable node means its view regressed past what this
 		// peer still retains (a wiped restart whose catch-up pull missed
 		// this origin). Re-arm the pull: the next tick merges snapshots
@@ -600,15 +578,51 @@ func (n *Node) handleDelta(payload []byte, reply func(wire.Type, []byte)) {
 		n.catchup = true
 	}
 	n.mu.Unlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		reply(wire.TErr, []byte(err.Error()))
-		return
-	}
-	if applied || wd.Seq <= seen {
+	case gap:
+		reply(wire.TErr, []byte("delta: gap in sequence"))
+	default:
 		reply(wire.TDeltaAck, nil)
-		return
 	}
-	reply(wire.TErr, []byte(fmt.Sprintf("delta gap: got seq %d, have %d", wd.Seq, seen)))
+}
+
+// applyDeltasLocked applies the in-sequence run of a decoded delta frame
+// — a TDelta payload or the body of a 'd' WAL record: its stale deltas
+// are skipped, and a gap cuts it short and is reported. The run is
+// logged as one 'd' record before the view moves: a nacked frame is
+// retransmitted, and its deltas must then still be next in sequence
+// rather than skipped as seen. WAL replay runs through here too (with no
+// log open yet, walAppend only applies), so live apply and recovery
+// cannot drift. Caller holds n.mu.
+func (n *Node) applyDeltasLocked(frame []byte, ds []*siteview.Delta) (gap bool, err error) {
+	if len(ds) == 0 {
+		return false, nil
+	}
+	// ds is one origin's deltas in ascending sequence (decodeDeltas).
+	next := n.view.Seq(ds[0].Origin) + 1
+	i := 0
+	for i < len(ds) && ds[i].Seq < next {
+		i++
+	}
+	j := i
+	for j < len(ds) && ds[j].Seq == next+uint64(j-i) {
+		j++
+	}
+	run, gap := ds[i:j], j < len(ds)
+	if len(run) == 0 {
+		return gap, nil
+	}
+	body := frame
+	if len(run) != len(ds) {
+		body = appendDeltas(nil, int32(run[0].Origin), run)
+	}
+	return gap, n.walAppend('d', body, func() {
+		for _, d := range run {
+			n.view.Apply(d)
+		}
+	})
 }
 
 // passnetGet serves locally, else locates the record's home through the

@@ -47,7 +47,12 @@ const (
 	minEntry = 1 + 1 + 4 + 1
 )
 
-var errBadStore = errors.New("store: bad placement frame")
+var (
+	errBadStore = errors.New("store: bad placement frame")
+	// errBadFrame is the frame helpers' error: a varint or a length that
+	// runs past the payload or is not minimally encoded.
+	errBadFrame = errors.New("node: truncated or non-canonical frame")
+)
 
 // legacyStore is the single-placement JSON object, decoded only.
 type legacyStore struct {
@@ -150,7 +155,7 @@ func decodeStore(b []byte) ([]placement, error) {
 func uvarint(b *[]byte) (uint64, error) {
 	v, n := binary.Uvarint(*b)
 	if n <= 0 || (n > 1 && (*b)[n-1] == 0) {
-		return 0, errBadStore
+		return 0, errBadFrame
 	}
 	*b = (*b)[n:]
 	return v, nil
@@ -163,7 +168,7 @@ func lengthPrefixed(b *[]byte) ([]byte, error) {
 		return nil, err
 	}
 	if l > uint64(len(*b)) {
-		return nil, errBadStore
+		return nil, errBadFrame
 	}
 	body := (*b)[:l:l]
 	*b = (*b)[l:]

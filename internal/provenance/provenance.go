@@ -486,7 +486,7 @@ func Decode(data []byte) (*Record, error) {
 		return nil, errTruncated("parent count")
 	}
 	p = p[n:]
-	if nparents*32 > uint64(len(p)) {
+	if nparents > uint64(len(p))/32 { // nparents*32 would wrap for a hostile count
 		return nil, errTruncated("parents")
 	}
 	if nparents > 0 {

@@ -63,7 +63,7 @@ const (
 	TQueryOK Type = 15 // payload: concatenated record IDs
 
 	// Inter-node verbs.
-	TDelta    Type = 16 // payload: encoded siteview delta
+	TDelta    Type = 16 // payload: a delta frame, one origin's run of siteview deltas (node/gossip.go)
 	TDeltaAck Type = 17
 	TFetch    Type = 18 // payload: record ID (serve from local/replica stores)
 	TFetchOK  Type = 19 // payload: encoded record
