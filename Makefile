@@ -117,6 +117,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeltas$$' -fuzztime 10s ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzViewApply$$' -fuzztime 10s ./internal/arch/siteview
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeView$$' -fuzztime 10s ./internal/arch/siteview
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeEncoded$$' -fuzztime 10s ./internal/arch/siteview
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/provenance
 
 # Extract $(REF) with git archive, run the deterministic tables there and

@@ -16,10 +16,10 @@
 //	-mode    "passnet" or "dht" (default passnet)
 //	-listen  UDP listen address (default 127.0.0.1:0)
 //	-http    HTTP listen address for /metrics + /healthz ("" disables)
-//	-data    data directory for WAL + snapshot durability ("" = in-memory
+//	-data    data directory for WAL + checkpoint durability ("" = in-memory
 //	         only); a restarted node recovers its state from here
 //	-fsync   fsync the WAL on every append (machine-crash durability)
-//	-compact-every  WAL records between snapshot compactions (0 = default)
+//	-compact-every  WAL records between checkpoints (0 = default)
 //
 // The node shuts down gracefully on SIGTERM/SIGINT: it stops the HTTP
 // server, closes its sockets and exits 0.
@@ -64,9 +64,9 @@ func runNode(args []string, stdout io.Writer) int {
 	mode := fs.String("mode", "passnet", `node mode: "passnet" or "dht"`)
 	listen := fs.String("listen", "127.0.0.1:0", "UDP listen address")
 	httpAddr := fs.String("http", "127.0.0.1:0", "HTTP listen address for /metrics and /healthz (\"\" disables)")
-	dataDir := fs.String("data", "", "data directory for WAL + snapshot durability (\"\" = in-memory only)")
+	dataDir := fs.String("data", "", "data directory for WAL + checkpoint durability (\"\" = in-memory only)")
 	fsync := fs.Bool("fsync", false, "fsync the WAL on every append (machine-crash durability)")
-	compactEvery := fs.Int64("compact-every", 0, "WAL records between snapshot compactions (0 = default)")
+	compactEvery := fs.Int64("compact-every", 0, "WAL records between checkpoints (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

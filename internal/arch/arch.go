@@ -443,6 +443,12 @@ func (st *SiteStore) LookupAttr(key string, value provenance.Value) []provenance
 	return st.attr[attrMapKey(key, value)]
 }
 
+// LookupKey returns the postings for a composite key already built as
+// key \x00 canonical value — the form queries carry on the wire.
+func (st *SiteStore) LookupKey(mk string) []provenance.ID {
+	return st.attr[mk]
+}
+
 // Parents returns the direct parents of id (empty if unknown).
 func (st *SiteStore) Parents(id provenance.ID) []provenance.ID {
 	if r, ok := st.recs[id]; ok {

@@ -1,16 +1,17 @@
 package siteview
 
-// Wire/disk encoding for whole Views. Two consumers need a View to leave
-// its process: the real-node snapshot file (a durable passd node compacts
-// its WAL into an encoded View so restart cost is bounded by the delta
-// since the last snapshot) and the TSnap catch-up verb (a cold-booting
-// node pulls one peer's View over the wire and Merges it). The encoding
-// carries exactly the view's CONTENT — owner, per-origin sequence
-// numbers, location entries, and the inverted attribute index. Per-origin
-// Bloom filters are NOT serialized: the inverted index is the exact
-// ground truth they are rebuilt from (the same rebuildFilter discipline a
-// saturated filter already uses), which keeps the format free of
-// filter-sizing drift and guarantees DecodeView(v.Encode()) has
+// Wire/disk encoding for Views. Two consumers need view content to leave
+// its process: a durable passd node's checkpoint log (each checkpoint
+// holds one frame of the deltas the node applied since the previous
+// one, built by EncodeDeltas, and recovery merges the frames back in
+// order with MergeEncoded) and the TSnap catch-up verb (a cold-booting
+// node pulls one peer's whole View over the wire and Merges it). The
+// encoding carries exactly the view's CONTENT — owner, per-origin
+// sequence numbers, location entries, and the inverted attribute index.
+// Per-origin Bloom filters are NOT serialized: the inverted index is the
+// exact ground truth they are rebuilt from (the same rebuildFilter
+// discipline a saturated filter already uses), which keeps the format
+// free of filter-sizing drift and guarantees DecodeView(v.Encode()) has
 // v's Fingerprint.
 //
 // The frame is binary, so attribute keys — whose canonical values are
@@ -101,117 +102,166 @@ func (v *View) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeView reconstructs a View from Encode output. Per-origin filters
-// are rebuilt from the inverted index exactly as rebuildFilter would, so
-// the no-false-negatives guarantee holds and the decoded view's
+// EncodeDeltas encodes a run of deltas, in the order they were applied,
+// as one view frame owned by owner: each origin at the highest sequence
+// number the run carries, each record at the origin of the last delta
+// that located it, each key at every origin that carried it. Merging the
+// frame into a view that had applied the deltas before the run lands on
+// the content applying the run would have.
+func EncodeDeltas(owner netsim.SiteID, ds []*Delta) []byte {
+	v := &View{
+		owner:     owner,
+		seq:       make(map[netsim.SiteID]uint64),
+		loc:       make(map[provenance.ID]netsim.SiteID),
+		attrSites: make(map[string]map[netsim.SiteID]struct{}),
+	}
+	for _, d := range ds {
+		v.seq[d.Origin] = max(v.seq[d.Origin], d.Seq)
+		for _, id := range d.IDs {
+			v.loc[id] = d.Origin
+		}
+		for _, k := range d.AttrKeys {
+			set, ok := v.attrSites[k]
+			if !ok {
+				set = make(map[netsim.SiteID]struct{}, 1)
+				v.attrSites[k] = set
+			}
+			set[d.Origin] = struct{}{}
+		}
+	}
+	b, _ := v.Encode()
+	return b
+}
+
+// DecodeView reconstructs a View from Encode output: a new view owned by
+// the frame's owner, with the frame merged in. The decoded view's
 // Fingerprint equals the encoded view's. The applied/ignored bookkeeping
 // counters are not part of the content and restart at zero.
 func DecodeView(data []byte) (*View, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty", errBadView)
-	}
-	if data[0] != viewFrameV1 {
-		return nil, fmt.Errorf("%w: version %d", errBadView, data[0])
-	}
-	b := data[1:]
-	owner, err := varint(&b)
-	if err != nil {
+	v := NewView(0)
+	if err := v.MergeEncoded(data); err != nil {
 		return nil, err
 	}
-	v := NewView(netsim.SiteID(owner))
+	b := data[1:]
+	owner, _ := varint(&b)
+	v.owner = netsim.SiteID(owner)
+	return v, nil
+}
+
+// MergeEncoded folds an encoded view frame into v exactly as Merge folds
+// a decoded view — locations and postings unioned, per-origin sequence
+// numbers fast-forwarded, filters rebuilt from the newly learned keys —
+// without building the donor view. The frame's owner is read and
+// ignored. It accepts only the canonical form, and no count field
+// reserves more than the remaining bytes could hold. A frame that fails
+// part-way leaves v holding the part before the fault: merge only frames
+// whose integrity is already checked (a CRC-guarded log record), or
+// decode with DecodeView first.
+func (v *View) MergeEncoded(data []byte) error {
+	if len(data) == 0 {
+		return fmt.Errorf("%w: empty", errBadView)
+	}
+	if data[0] != viewFrameV1 {
+		return fmt.Errorf("%w: version %d", errBadView, data[0])
+	}
+	b := data[1:]
+	if _, err := varint(&b); err != nil {
+		return err
+	}
 
 	n, err := count(&b, minSeqEntry)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var prevOrigin netsim.SiteID
 	for i := 0; i < n; i++ {
 		o, err := varint(&b)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		seq, err := uvarint(&b)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		origin := netsim.SiteID(o)
 		if i > 0 && origin <= prevOrigin {
-			return nil, fmt.Errorf("%w: origins out of order", errBadView)
+			return fmt.Errorf("%w: origins out of order", errBadView)
 		}
-		v.seq[origin], prevOrigin = seq, origin
+		if seq > v.seq[origin] {
+			v.seq[origin] = seq
+		}
+		prevOrigin = origin
 	}
 
 	if n, err = count(&b, minLocEntry); err != nil {
-		return nil, err
+		return err
 	}
-	v.loc = make(map[provenance.ID]netsim.SiteID, n)
+	if len(v.loc) == 0 {
+		v.loc = make(map[provenance.ID]netsim.SiteID, n)
+	}
 	var id, prevID provenance.ID
 	for i := 0; i < n; i++ {
 		if len(b) < len(id) {
-			return nil, errBadView
+			return errBadView
 		}
 		copy(id[:], b)
 		b = b[len(id):]
 		if i > 0 && !lessID(prevID, id) {
-			return nil, fmt.Errorf("%w: locations out of order", errBadView)
+			return fmt.Errorf("%w: locations out of order", errBadView)
 		}
 		home, err := varint(&b)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v.loc[id], prevID = netsim.SiteID(home), id
 	}
 
 	if n, err = count(&b, minAttrEntry); err != nil {
-		return nil, err
+		return err
 	}
-	v.attrSites = make(map[string]map[netsim.SiteID]struct{}, n)
-	// Keys arrive ascending, so each origin's key list is built sorted.
-	perOrigin := make(map[netsim.SiteID][]string)
+	newKeys := make(map[netsim.SiteID][]string)
 	var prevKey []byte
 	for i := 0; i < n; i++ {
 		kb, err := lengthPrefixed(&b)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if i > 0 && bytes.Compare(prevKey, kb) >= 0 {
-			return nil, fmt.Errorf("%w: keys out of order", errBadView)
+			return fmt.Errorf("%w: keys out of order", errBadView)
 		}
 		prevKey = kb
-		key := string(kb)
 		ns, err := count(&b, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		set := make(map[netsim.SiteID]struct{}, ns)
+		key := string(kb)
+		set, ok := v.attrSites[key]
+		if !ok {
+			set = make(map[netsim.SiteID]struct{}, ns)
+			v.attrSites[key] = set
+		}
 		var prev netsim.SiteID
 		for j := 0; j < ns; j++ {
 			s, err := varint(&b)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			origin := netsim.SiteID(s)
 			if j > 0 && origin <= prev {
-				return nil, fmt.Errorf("%w: sites out of order", errBadView)
+				return fmt.Errorf("%w: sites out of order", errBadView)
 			}
-			set[origin], prev = struct{}{}, origin
-			perOrigin[origin] = append(perOrigin[origin], key)
+			prev = origin
+			if _, has := set[origin]; !has {
+				set[origin] = struct{}{}
+				newKeys[origin] = append(newKeys[origin], key)
+			}
 		}
-		v.attrSites[key] = set
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errBadView, len(b))
+		return fmt.Errorf("%w: %d trailing bytes", errBadView, len(b))
 	}
-
-	origins := make([]netsim.SiteID, 0, len(perOrigin))
-	for origin := range perOrigin {
-		origins = append(origins, origin)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, origin := range origins {
-		v.addFilterKeys(origin, perOrigin[origin])
-	}
-	return v, nil
+	v.addNewKeys(newKeys)
+	return nil
 }
 
 // uvarint consumes one minimally encoded uvarint from *b.

@@ -183,3 +183,41 @@ func TestDecodeViewRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeDeltasMergesLikeApply: a view that applied a prefix of a
+// delta stream, then merged the rest as one EncodeDeltas frame, holds
+// what applying the whole stream gives — sequence numbers, the last
+// home of a re-located record, and binary keys included.
+func TestEncodeDeltasMergesLikeApply(t *testing.T) {
+	var ds []*Delta
+	for seq := uint64(1); seq <= 6; seq++ {
+		for origin := netsim.SiteID(1); origin <= 2; origin++ {
+			keys := []string{"v\x00" + string([]byte{0x80, byte(seq)}), "domain\x00d"}
+			// Record 9 is re-homed by every delta: the last one wins.
+			ids := []provenance.ID{mkID(byte(origin)*16 + byte(seq)), mkID(9)}
+			ds = append(ds, NewDelta(origin, seq, ids, keys))
+		}
+	}
+	want := NewView(7)
+	got := NewView(7)
+	for i, d := range ds {
+		want.Apply(d)
+		if i < 5 {
+			got.Apply(d)
+		}
+	}
+	if err := got.MergeEncoded(EncodeDeltas(7, ds[5:])); err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("fingerprint %x after merging the frame, want %x", got.Fingerprint(), want.Fingerprint())
+	}
+	for origin := netsim.SiteID(1); origin <= 2; origin++ {
+		if got.Seq(origin) != want.Seq(origin) {
+			t.Fatalf("origin %d at seq %d, want %d", origin, got.Seq(origin), want.Seq(origin))
+		}
+	}
+	if home, _ := got.Locate(mkID(9)); home != 2 {
+		t.Fatalf("re-located record homed at %d, want 2", home)
+	}
+}

@@ -153,3 +153,41 @@ func FuzzDecodeView(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMergeEncoded covers the merge every checkpoint load runs: a frame
+// merged into a live view. No input may panic or reserve beyond what
+// the payload could hold, and a frame the merge accepts lands on the
+// content DecodeView plus Merge gives.
+func FuzzMergeEncoded(f *testing.F) {
+	full, _ := buildTestView(f).Encode()
+	deltas := EncodeDeltas(7, []*Delta{
+		NewDelta(1, 5, []provenance.ID{mkID(1)}, []string{"k\x00\x80"}),
+		NewDelta(2, 9, []provenance.ID{mkID(1), mkID(2)}, []string{"k\x00\x80", "z\x00a"}),
+	})
+	for _, fr := range [][]byte{full, deltas} {
+		f.Add(fr)
+		for _, cut := range []int{1, 2, 3, len(fr) / 2, len(fr) - 1} {
+			if cut < len(fr) {
+				f.Add(fr[:cut])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		live := buildTestView(t)
+		if err := live.MergeEncoded(b); err != nil {
+			return
+		}
+		ref := buildTestView(t)
+		if added := live.Locations() - ref.Locations(); added*minLocEntry > len(b) {
+			t.Fatalf("merged %d new locations from %d bytes", added, len(b))
+		}
+		donor, err := DecodeView(b)
+		if err != nil {
+			t.Fatalf("MergeEncoded accepted what DecodeView refuses: %v", err)
+		}
+		ref.Merge(donor)
+		if live.Fingerprint() != ref.Fingerprint() {
+			t.Fatalf("merged fingerprint %x, want %x", live.Fingerprint(), ref.Fingerprint())
+		}
+	})
+}

@@ -56,7 +56,6 @@ package siteview
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"sort"
 
 	"pass/internal/netsim"
@@ -76,6 +75,7 @@ const filterHashes = 4
 // false negatives cannot happen.
 type Filter struct {
 	bits []uint64
+	set  int // bits set, kept by Add so FillRatio is O(1)
 }
 
 // NewFilter sizes a filter for the given expected key count.
@@ -114,7 +114,10 @@ func (f *Filter) probe(key string, fn func(word, bit uint64) bool) bool {
 // Add inserts a canonical attribute key.
 func (f *Filter) Add(key string) {
 	f.probe(key, func(word, bit uint64) bool {
-		f.bits[word] |= 1 << bit
+		if f.bits[word]&(1<<bit) == 0 {
+			f.bits[word] |= 1 << bit
+			f.set++
+		}
 		return true
 	})
 }
@@ -139,11 +142,7 @@ func (f *Filter) FillRatio() float64 {
 	if len(f.bits) == 0 {
 		return 0
 	}
-	set := 0
-	for _, w := range f.bits {
-		set += bits.OnesCount64(w)
-	}
-	return float64(set) / float64(len(f.bits)*64)
+	return float64(f.set) / float64(len(f.bits)*64)
 }
 
 // MaxFillRatio is the measured-fill threshold past which a view rebuilds
@@ -175,11 +174,9 @@ type Delta struct {
 	// IDs are the record ids this delta locates at Origin.
 	IDs []provenance.ID
 	// AttrKeys are the canonical attribute keys (key\x00value) the
-	// records carry — the contents of Filter, listed exactly so the
-	// receiver can maintain its inverted index.
+	// records carry, listed exactly so the receiver can maintain its
+	// inverted index and its per-origin filter.
 	AttrKeys []string
-	// Filter is the Bloom-filter wire form of AttrKeys.
-	Filter *Filter
 }
 
 // NewDelta builds a delta for the origin's batch. AttrKeys may contain
@@ -195,11 +192,7 @@ func NewDelta(origin netsim.SiteID, seq uint64, ids []provenance.ID, attrKeys []
 		dedup = append(dedup, k)
 	}
 	sort.Strings(dedup)
-	f := NewFilter(len(dedup))
-	for _, k := range dedup {
-		f.Add(k)
-	}
-	return &Delta{Origin: origin, Seq: seq, IDs: append([]provenance.ID(nil), ids...), AttrKeys: dedup, Filter: f}
+	return &Delta{Origin: origin, Seq: seq, IDs: append([]provenance.ID(nil), ids...), AttrKeys: dedup}
 }
 
 // locEntryWire approximates the wire size of one id→home location entry.
@@ -209,9 +202,10 @@ const locEntryWire = 32 + 4
 const deltaHeaderWire = 32
 
 // WireSize is the delta's size on the simulated network: location
-// entries plus the attribute Bloom filter plus a small header.
+// entries plus a Bloom filter sized for its attribute keys plus a small
+// header.
 func (d *Delta) WireSize() int {
-	return deltaHeaderWire + len(d.IDs)*locEntryWire + d.Filter.SizeBytes()
+	return deltaHeaderWire + len(d.IDs)*locEntryWire + filterWireBytes(len(d.AttrKeys))
 }
 
 // View is the soft metadata ONE site has accumulated from delivered
@@ -387,9 +381,19 @@ func (v *View) Merge(snap *View) int {
 			newKeys[origin] = append(newKeys[origin], k)
 		}
 	}
-	// Deterministic per-origin order (map iteration above scrambles it;
-	// filter contents are order-independent but key counts must add up
-	// identically run to run).
+	v.addNewKeys(newKeys)
+	for origin, seq := range snap.seq {
+		if seq > v.seq[origin] {
+			v.seq[origin] = seq
+		}
+	}
+	return added
+}
+
+// addNewKeys folds each origin's newly learned keys into its filter, in
+// a deterministic order (map iteration scrambles it; filter contents are
+// order-independent but key counts must add up identically run to run).
+func (v *View) addNewKeys(newKeys map[netsim.SiteID][]string) {
 	origins := make([]netsim.SiteID, 0, len(newKeys))
 	for origin := range newKeys {
 		origins = append(origins, origin)
@@ -400,12 +404,6 @@ func (v *View) Merge(snap *View) int {
 		sort.Strings(keys)
 		v.addFilterKeys(origin, keys)
 	}
-	for origin, seq := range snap.seq {
-		if seq > v.seq[origin] {
-			v.seq[origin] = seq
-		}
-	}
-	return added
 }
 
 // Locate resolves a record's home site from delivered deltas.

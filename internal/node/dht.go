@@ -109,7 +109,9 @@ func (n *Node) handleStore(payload []byte, reply func(wire.Type, []byte)) {
 // one 's' record whose body is frame (ps encoded, or the bytes ps was
 // decoded from; nil encodes ps). A list that fails part-way is neither
 // logged nor acknowledged; its applied prefix stays in memory, a
-// superset the recovery contract allows.
+// superset the recovery contract allows. An applied list joins the
+// pending lists even when its append fails: the next checkpoint then
+// holds that superset too.
 func (n *Node) storeBatch(ps []placement, frame []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -118,9 +120,13 @@ func (n *Node) storeBatch(ps []placement, frame []byte) error {
 			return err
 		}
 	}
-	if frame == nil && n.log != nil {
+	if n.log == nil {
+		return nil
+	}
+	if frame == nil {
 		frame = appendStore(nil, ps)
 	}
+	n.pend.lists = append(n.pend.lists, frame)
 	return n.walAppend('s', frame, nil)
 }
 

@@ -1,13 +1,20 @@
 package node
 
 // durable.go is the node's crash-restart story. With Config.DataDir set,
-// every applied mutation is appended to a per-node write-ahead log BEFORE
-// the verb acknowledges — so the state a restarted process recovers is
-// always a superset of what any client or peer saw acknowledged — and the
-// log is periodically compacted into a snapshot (temp file + fsync +
-// rename, then wal.Reset), bounding replay work.
+// the node keeps two logs in its data dir, both wal.Logs (CRC-framed
+// records, a torn tail truncated at open):
 //
-// Record scheme (first byte tags the mutation):
+//   - wal.log, the write-ahead log: every applied mutation is appended
+//     BEFORE the verb acknowledges, so the state a restarted process
+//     recovers is always a superset of what any client or peer saw
+//     acknowledged;
+//   - snap, the checkpoint log: every CompactEvery WAL records the node
+//     appends one checkpoint holding only what it applied since the
+//     previous one, syncs it, and resets the WAL. A checkpoint costs
+//     O(records since the last one), never O(store); the log is never
+//     rewritten.
+//
+// WAL record scheme (first byte tags the mutation):
 //
 //	'r'  roster JSON (the TPeers payload) — a restarted node knows its
 //	     peers without harness help
@@ -20,19 +27,40 @@ package node
 //	     TStore frame, per local seat of a put, or per pulled chunk;
 //	     logs written before placement lists hold one JSON object)
 //
-// The recovery contract is replay-on-top-of-snapshot idempotence: a crash
-// between the snapshot rename and the wal.Reset leaves snapshot + full
-// log, and replaying every logged mutation over the restored snapshot
-// must land on the same state. Publishes skip when the snapshot's
-// sequence already covers them, deltas are refused by the view's
-// sequence check, acks take the max, and placements re-add records the
-// store dedups.
+// A checkpoint record is a mode byte ('p' passnet, 'd' dht) and then
+// parts to the end of the record, each len:uvarint tag:byte body, tagged
+// like WAL records:
+//
+//	'r'  the roster (omitted with no peers)
+//	'a'  one per peer: its acknowledged sequence, as the WAL's 'a'
+//	'n'  passnet: 8-byte LE own sequence
+//	'o'  passnet: the retained own-publish window, one delta frame —
+//	     bounded by what peers have not acknowledged, not by the store
+//	'p'  passnet: each 'p' body logged since the previous checkpoint
+//	'v'  passnet: one view frame (siteview.EncodeDeltas) of the deltas
+//	     applied since then, own and peers'; after a TSnap catch-up
+//	     merge, the whole view
+//	's'  dht: each 's' body logged since the previous checkpoint
+//
+// The node collects what the next checkpoint holds in its pending lists
+// on every apply path, WAL replay included, so the first checkpoint
+// after a restart covers the replayed tail before the WAL is reset.
+//
+// Recovery loads the checkpoints in order, then replays the WAL. The
+// contract is that replay on top of the checkpoints is idempotent: a
+// crash between a checkpoint's sync and the wal.Reset leaves both, and
+// replaying every logged mutation must land on the same state.
+// Publishes skip when the recovered sequence already covers them,
+// deltas are refused by the view's sequence check, acks take the max,
+// and placements re-add records the store dedups. A checkpoint torn by
+// a crash is dropped at open, and the un-reset WAL replays what it held.
 //
 // Two restart flavours emerge:
 //
-//   - Durable restart (data dir intact): snapshot + WAL rebuild the full
-//     pre-kill state minus only unacknowledged suffix; the node answers
-//     queries at its old coverage immediately and transfers nothing.
+//   - Durable restart (data dir intact): checkpoints + WAL rebuild the
+//     full pre-kill state minus only unacknowledged suffix; the node
+//     answers queries at its old coverage immediately and transfers
+//     nothing.
 //   - Cold rejoin (data dir wiped): nothing recovers, so the node boots
 //     in declared catch-up mode and pulls state at its first tick —
 //     passnet merges peer view snapshots over TSnap (fast-forwarding its
@@ -51,7 +79,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -65,68 +92,86 @@ import (
 	"pass/internal/wire"
 )
 
-// defaultCompactEvery is the WAL record count that triggers compaction
-// when Config.CompactEvery is zero.
+// defaultCompactEvery is the WAL record count that triggers a
+// checkpoint when Config.CompactEvery is zero.
 const defaultCompactEvery = 256
 
 // recoverChunk bounds the placements a catch-up pull logs per WAL record.
 const recoverChunk = 4096
 
-var snapMagic = [8]byte{'P', 'A', 'S', 'S', 'S', 'N', 'P', '1'}
-
-var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
+var errBadCheckpoint = errors.New("node: bad checkpoint record")
 
 func (n *Node) walFile() string  { return filepath.Join(n.cfg.DataDir, "wal.log") }
-func (n *Node) snapFile() string { return filepath.Join(n.cfg.DataDir, "snap") }
+func (n *Node) ckptFile() string { return filepath.Join(n.cfg.DataDir, "snap") }
 
-// snapshot is the compacted on-disk state: magic, CRC, then this JSON.
-type snapshot struct {
-	Mode   string `json:"mode"`
-	Roster []Peer `json:"roster,omitempty"`
-
-	// passnet.
-	Seq   uint64           `json:"seq,omitempty"`
-	Acked map[int32]uint64 `json:"acked,omitempty"`
-	// Own is the retained own-publish window — the publishes some peer
-	// may not have acknowledged yet, kept so a restarted node can rebuild
-	// its per-peer outboxes — as one delta frame.
-	Own  []byte `json:"own,omitempty"`
-	View []byte `json:"view,omitempty"`
-
-	// shared: the node's primary record store.
-	Recs [][]byte `json:"recs,omitempty"`
-
-	// dht.
-	Attrs     map[string][]provenance.ID           `json:"attrs,omitempty"`
-	ReplRecs  map[int32][][]byte                   `json:"repl_recs,omitempty"`
-	ReplAttrs map[int32]map[string][]provenance.ID `json:"repl_attrs,omitempty"`
+// pending is what the node has applied since its last checkpoint: the
+// body of the next one. Filled only on a node with a data dir.
+type pending struct {
+	pubs      [][]byte          // passnet: 'p' WAL bodies
+	deltas    []*siteview.Delta // passnet: deltas applied to the view
+	wholeView bool              // passnet: a TSnap merge; checkpoint the whole view
+	lists     [][]byte          // dht: 's' WAL bodies
 }
 
-// recoverData restores node state from the data dir (snapshot first,
-// then WAL replay on top) and leaves the WAL open for appending. Called
-// from New before the verb handler is installed, so no locking. A node
-// that recovers nothing declares catch-up mode and pulls state from its
-// peers at its first tick.
+// appendPart appends one checkpoint part.
+func appendPart(dst []byte, tag byte, body []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(1+len(body)))
+	return append(append(dst, tag), body...)
+}
+
+// decodeCheckpoint skips a checkpoint record's mode byte and hands each
+// part (its tag byte first) to fn in order, stopping at fn's first
+// error. It accepts only minimal lengths and no empty part, so every
+// record it accepts re-encodes to exactly its input; each part's body is
+// checked by its own decoder when fn applies it.
+func decodeCheckpoint(b []byte, fn func(part []byte) error) error {
+	if len(b) == 0 {
+		return errBadCheckpoint
+	}
+	for b = b[1:]; len(b) > 0; {
+		part, err := lengthPrefixed(&b)
+		if err != nil {
+			return err
+		}
+		if len(part) == 0 {
+			return errBadCheckpoint
+		}
+		if err := fn(part); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recoverData restores node state from the data dir (the checkpoints in
+// order, then WAL replay on top) and leaves both logs open for
+// appending. Called from New before the verb handler is installed, so
+// no locking. A node that recovers nothing declares catch-up mode and
+// pulls state from its peers at its first tick.
 func (n *Node) recoverData() error {
 	if err := os.MkdirAll(n.cfg.DataDir, 0o755); err != nil {
 		return fmt.Errorf("node: data dir: %w", err)
 	}
-	if err := n.loadSnapshot(); err != nil {
-		return err
+	var loaded, replayed int64
+	ck, err := wal.Open(n.ckptFile(), wal.Options{}, func(p []byte) error {
+		loaded++
+		return n.loadCheckpoint(p)
+	})
+	if err != nil {
+		return fmt.Errorf("node: checkpoint log: %w", err)
 	}
-	var replayed int64
+	n.pend = pending{} // the checkpoints hold it already
 	l, err := wal.Open(n.walFile(), wal.Options{SyncOnAppend: n.cfg.Fsync}, func(p []byte) error {
 		replayed++
 		return n.replayRecord(p)
 	})
 	if err != nil {
+		ck.Close()
 		return err
 	}
-	n.log = l
+	n.log, n.ckpt = l, ck
 	n.reg.Counter("pass_wal_replays_total").Add(replayed)
-	if replayed > 0 {
-		n.recovered = true
-	}
+	n.recovered = loaded > 0 || replayed > 0
 	n.rebuildOutboxLocked()
 	if !n.recovered {
 		n.catchup = true
@@ -134,105 +179,60 @@ func (n *Node) recoverData() error {
 	return nil
 }
 
-// loadSnapshot restores the compacted state, if any. A corrupt snapshot
-// is a hard error: starting empty while the WAL assumes the snapshot's
-// base state would silently diverge, which is worse than refusing.
-func (n *Node) loadSnapshot() error {
-	b, err := os.ReadFile(n.snapFile())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+// loadCheckpoint applies one checkpoint record during recovery: the
+// roster, ack and placement parts as WAL replay applies them, the rest
+// below. Any fault is a hard error: starting from part of the state
+// while the WAL assumes all of it would silently diverge, which is
+// worse than refusing.
+func (n *Node) loadCheckpoint(p []byte) error {
+	if len(p) > 0 && p[0] != n.cfg.Mode[0] {
+		return fmt.Errorf("node: %s holds a %q checkpoint, node mode is %q", n.ckptFile(), p[0], n.cfg.Mode)
 	}
-	if err != nil {
-		return fmt.Errorf("node: read snapshot: %w", err)
-	}
-	if len(b) < 12 || [8]byte(b[:8]) != snapMagic {
-		return fmt.Errorf("node: %s is not a snapshot", n.snapFile())
-	}
-	if crc32.Checksum(b[12:], snapCRCTable) != binary.LittleEndian.Uint32(b[8:12]) {
-		return fmt.Errorf("node: snapshot %s fails its checksum", n.snapFile())
-	}
-	var s snapshot
-	if err := json.Unmarshal(b[12:], &s); err != nil {
-		return fmt.Errorf("node: decode snapshot: %w", err)
-	}
-	if s.Mode != n.cfg.Mode {
-		return fmt.Errorf("node: snapshot is mode %q, node is %q", s.Mode, n.cfg.Mode)
-	}
-	if len(s.Roster) > 0 {
-		if err := n.setRosterLocked(s.Roster); err != nil {
-			return err
-		}
-	}
-	switch n.cfg.Mode {
-	case "passnet":
-		n.seq = s.Seq
-		for pid, sq := range s.Acked {
-			n.acked[pid] = sq
-		}
-		if len(s.View) > 0 {
-			v, err := siteview.DecodeView(s.View)
-			if err != nil {
-				return fmt.Errorf("node: decode snapshot view: %w", err)
+	// The own window replaces the previous checkpoint's: it is the whole
+	// retained set at this checkpoint.
+	n.own = make(map[uint64]*siteview.Delta)
+	err := decodeCheckpoint(p, func(part []byte) error {
+		tag, body := part[0], part[1:]
+		switch tag {
+		case 'n':
+			if len(body) != 8 {
+				return errBadCheckpoint
 			}
-			n.view = v
-		}
-		if len(s.Own) > 0 {
-			ds, err := decodeDeltas(s.Own)
-			if err != nil {
-				return fmt.Errorf("node: decode snapshot own deltas: %w", err)
-			}
+			n.seq = max(n.seq, binary.LittleEndian.Uint64(body))
+		case 'o':
+			ds, err := decodeDeltas(body)
 			for _, d := range ds {
 				n.own[d.Seq] = d
 			}
-		}
-		for _, rb := range s.Recs {
-			rec, err := provenance.Decode(rb)
-			if err != nil {
-				return fmt.Errorf("node: decode snapshot record: %w", err)
+			return err
+		case 'p':
+			if len(body) < 8 {
+				return errBadCheckpoint
 			}
-			id := rec.ComputeID()
-			n.store.Add(id, rec)
-			for _, a := range arch.QueriableAttrs(rec) {
-				mk := mkOf(a)
-				n.posts[mk] = append(n.posts[mk], id)
-			}
-		}
-	case "dht":
-		for _, rb := range s.Recs {
-			rec, err := provenance.Decode(rb)
+			rec, err := provenance.Decode(body[8:])
 			if err != nil {
-				return fmt.Errorf("node: decode snapshot record: %w", err)
+				return err
 			}
 			n.store.Add(rec.ComputeID(), rec)
+		case 'v':
+			return n.view.MergeEncoded(body)
+		case 'r', 'a', 's':
+			return n.replayRecord(part)
+		default:
+			return fmt.Errorf("%w: part %q", errBadCheckpoint, tag)
 		}
-		for mk, ids := range s.Attrs {
-			n.attrs[mk] = append([]provenance.ID(nil), ids...)
-		}
-		for src, recs := range s.ReplRecs {
-			rs := n.replicaStoreFor(src)
-			for _, rb := range recs {
-				rec, err := provenance.Decode(rb)
-				if err != nil {
-					return fmt.Errorf("node: decode snapshot replica record: %w", err)
-				}
-				rs.Add(rec.ComputeID(), rec)
-			}
-		}
-		for src, bucket := range s.ReplAttrs {
-			dst := make(map[string][]provenance.ID, len(bucket))
-			for mk, ids := range bucket {
-				dst[mk] = append([]provenance.ID(nil), ids...)
-			}
-			n.replAttrs[src] = dst
-		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("node: %s: %w", n.ckptFile(), err)
 	}
-	n.recovered = true
 	return nil
 }
 
 // replayRecord applies one WAL record during recovery. Every branch is
-// idempotent against a snapshot that already contains the mutation (the
-// crash-between-rename-and-reset window).
+// idempotent against checkpoints that already contain the mutation (the
+// crash-between-sync-and-reset window), and every branch fills the
+// pending lists as the live path does.
 func (n *Node) replayRecord(p []byte) error {
 	if len(p) == 0 {
 		return fmt.Errorf("node: empty wal record")
@@ -251,8 +251,8 @@ func (n *Node) replayRecord(p []byte) error {
 		}
 		seq := binary.LittleEndian.Uint64(body[:8])
 		if seq <= n.seq {
-			// Already in the snapshot. Judged by sequence, not by record:
-			// a record put twice holds two sequence numbers, and skipping
+			// Already checkpointed. Judged by sequence, not by record: a
+			// record put twice holds two sequence numbers, and skipping
 			// the second would let a restart reuse one peers have applied.
 			return nil
 		}
@@ -260,7 +260,7 @@ func (n *Node) replayRecord(p []byte) error {
 		if err != nil {
 			return fmt.Errorf("node: wal publish record: %w", err)
 		}
-		n.applyOwnPublishLocked(seq, rec.ComputeID(), rec)
+		n.applyOwnPublishLocked(seq, rec.ComputeID(), rec, body)
 		return nil
 	case 'd':
 		ds, err := decodeDeltas(body)
@@ -287,30 +287,38 @@ func (n *Node) replayRecord(p []byte) error {
 				return fmt.Errorf("node: wal store: %w", err)
 			}
 		}
+		n.pend.lists = append(n.pend.lists, body)
 		return nil
 	default:
 		return fmt.Errorf("node: unknown wal record tag %q", tag)
 	}
 }
 
-// applyOwnPublishLocked commits one of this node's own publishes: store,
-// postings, view, sequence, and the retained-delta window the outbox
-// rebuild draws from. Shared by the live put path and WAL replay. Caller
-// holds n.mu (or is in single-threaded recovery).
-func (n *Node) applyOwnPublishLocked(seq uint64, id provenance.ID, rec *provenance.Record) *siteview.Delta {
+// applyOwnPublishLocked commits one of this node's own publishes: store
+// (whose attribute index serves the node's postings), view, sequence,
+// and the retained-delta window the outbox rebuild draws from. body is
+// the publish's 'p' WAL body, kept for the next checkpoint. Shared by
+// the live put path and WAL replay. Caller holds n.mu (or is in
+// single-threaded recovery).
+func (n *Node) applyOwnPublishLocked(seq uint64, id provenance.ID, rec *provenance.Record, body []byte) *siteview.Delta {
 	n.store.Add(id, rec)
-	var keys []string
-	for _, a := range arch.QueriableAttrs(rec) {
-		mk := mkOf(a)
-		keys = append(keys, mk)
-		n.posts[mk] = append(n.posts[mk], id)
+	attrs := arch.QueriableAttrs(rec)
+	keys := make([]string, len(attrs))
+	for i, a := range attrs {
+		keys[i] = mkOf(a)
 	}
 	d := siteview.NewDelta(netsim.SiteID(n.cfg.ID), seq, []provenance.ID{id}, keys)
-	n.view.Apply(d)
+	applied := n.view.Apply(d)
 	if seq > n.seq {
 		n.seq = seq
 	}
 	n.own[seq] = d
+	if n.cfg.DataDir != "" {
+		n.pend.pubs = append(n.pend.pubs, body)
+		if applied {
+			n.pend.deltas = append(n.pend.deltas, d)
+		}
+	}
 	return d
 }
 
@@ -359,12 +367,11 @@ func (n *Node) rebuildOutboxLocked() {
 // contract, so callers append before their reply and nack (TErr) when
 // the append fails — and apply does not run, so nothing the log lacks
 // is sequenced or gossiped. apply is nil for the idempotent mutations
-// (roster, placements) that apply first and leave a superset when the
-// append fails. Crossing the compaction threshold checkpoints inline,
-// after apply so the snapshot holds the mutation whose record the reset
-// drops (a local disk write, bounded by state size); a failed
-// checkpoint is counted but returns nil, because the record itself is
-// already in the log.
+// (roster, acks, placements) that apply first and leave a superset when
+// the append fails. Crossing the checkpoint threshold checkpoints
+// inline, after apply so the pending lists hold the mutation whose
+// record the reset drops; a failed checkpoint is counted but returns
+// nil, because the record itself is already in the log.
 func (n *Node) walAppend(tag byte, body []byte, apply func()) error {
 	if n.log == nil {
 		if apply != nil {
@@ -399,118 +406,80 @@ func (n *Node) compactEvery() int64 {
 	return defaultCompactEvery
 }
 
-// Compact checkpoints the node's state into the snapshot file and
-// truncates the WAL. No-op without a data dir.
+// Compact appends a checkpoint of what the node applied since the last
+// one and truncates the WAL. No-op without a data dir.
 func (n *Node) Compact() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.compactLocked()
 }
 
+// compactLocked appends and syncs one checkpoint, then resets the WAL.
+// When the append or its sync fails, the pending lists and the WAL stay
+// as they are, so the next checkpoint covers the same ground.
 func (n *Node) compactLocked() error {
 	if n.log == nil {
 		return nil
 	}
-	if err := n.writeSnapshotLocked(); err != nil {
-		return err
-	}
-	// Crash window: snapshot renamed, WAL not yet reset — replay over the
-	// snapshot is idempotent by construction, so recovery still lands on
-	// the same state.
-	if err := n.log.Reset(); err != nil {
-		return err
-	}
-	n.reg.Counter("pass_wal_truncations_total").Inc()
-	return nil
-}
-
-// writeSnapshotLocked serializes the node's state and atomically
-// replaces the snapshot file: temp file, fsync, rename. A crash before
-// the rename leaves a stray .tmp the next recovery ignores; a crash
-// after it is the idempotent-replay window compactLocked describes.
-func (n *Node) writeSnapshotLocked() error {
-	s := snapshot{Mode: n.cfg.Mode}
-	for _, pid := range n.order {
-		s.Roster = append(s.Roster, Peer{ID: pid, Addr: n.peers[pid].String()})
-	}
-	for _, id := range n.store.IDs() {
-		rec, _ := n.store.Get(id)
-		s.Recs = append(s.Recs, rec.Encode())
-	}
-	switch n.cfg.Mode {
-	case "passnet":
-		s.Seq = n.seq
-		s.Acked = make(map[int32]uint64, len(n.acked))
-		for pid, sq := range n.acked {
-			s.Acked[pid] = sq
+	c := []byte{n.cfg.Mode[0]}
+	if len(n.order) > 0 {
+		roster := make([]Peer, 0, len(n.order))
+		for _, pid := range n.order {
+			roster = append(roster, Peer{ID: pid, Addr: n.peers[pid].String()})
 		}
+		b, err := json.Marshal(roster)
+		if err != nil {
+			return fmt.Errorf("node: encode roster: %w", err)
+		}
+		c = appendPart(c, 'r', b)
+	}
+	for _, l := range n.pend.lists {
+		c = appendPart(c, 's', l)
+	}
+	if n.cfg.Mode == "passnet" {
+		pids := make([]int32, 0, len(n.acked))
+		for pid := range n.acked {
+			pids = append(pids, pid)
+		}
+		sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+		for _, pid := range pids {
+			var a [12]byte
+			binary.LittleEndian.PutUint32(a[:4], uint32(pid))
+			binary.LittleEndian.PutUint64(a[4:], n.acked[pid])
+			c = appendPart(c, 'a', a[:])
+		}
+		c = appendPart(c, 'n', binary.LittleEndian.AppendUint64(nil, n.seq))
 		n.pruneOwnLocked()
 		own := make([]*siteview.Delta, 0, len(n.own))
 		for _, d := range n.own {
 			own = append(own, d)
 		}
 		sort.Slice(own, func(i, j int) bool { return own[i].Seq < own[j].Seq })
-		if len(own) > 0 {
-			s.Own = appendDeltas(nil, n.cfg.ID, own)
+		c = appendPart(c, 'o', appendDeltas(nil, n.cfg.ID, own))
+		for _, pub := range n.pend.pubs {
+			c = appendPart(c, 'p', pub)
 		}
-		view, err := n.view.Encode()
-		if err != nil {
-			return fmt.Errorf("node: encode view: %w", err)
-		}
-		s.View = view
-	case "dht":
-		s.Attrs = make(map[string][]provenance.ID, len(n.attrs))
-		for mk, ids := range n.attrs {
-			s.Attrs[mk] = dedupe(append([]provenance.ID(nil), ids...))
-		}
-		s.ReplRecs = make(map[int32][][]byte, len(n.replRecs))
-		for src, rs := range n.replRecs {
-			for _, id := range rs.IDs() {
-				rec, _ := rs.Get(id)
-				s.ReplRecs[src] = append(s.ReplRecs[src], rec.Encode())
-			}
-		}
-		s.ReplAttrs = make(map[int32]map[string][]provenance.ID, len(n.replAttrs))
-		for src, bucket := range n.replAttrs {
-			dst := make(map[string][]provenance.ID, len(bucket))
-			for mk, ids := range bucket {
-				dst[mk] = dedupe(append([]provenance.ID(nil), ids...))
-			}
-			s.ReplAttrs[src] = dst
+		if n.pend.wholeView {
+			v, _ := n.view.Encode()
+			c = appendPart(c, 'v', v)
+		} else if len(n.pend.deltas) > 0 {
+			c = appendPart(c, 'v', siteview.EncodeDeltas(n.view.Owner(), n.pend.deltas))
 		}
 	}
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("node: encode snapshot: %w", err)
+	if err := n.ckpt.Append(c); err != nil {
+		return err
 	}
-	buf := make([]byte, 12+len(payload))
-	copy(buf, snapMagic[:])
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.Checksum(payload, snapCRCTable))
-	copy(buf[12:], payload)
-
-	tmp := n.snapFile() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("node: snapshot temp: %w", err)
+	if err := n.ckpt.Sync(); err != nil {
+		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("node: snapshot write: %w", err)
+	n.pend = pending{}
+	// Crash window: checkpoint synced, WAL not yet reset — replay over
+	// the checkpoints is idempotent by construction, so recovery still
+	// lands on the same state.
+	if err := n.log.Reset(); err != nil {
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("node: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("node: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp, n.snapFile()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("node: snapshot rename: %w", err)
-	}
+	n.reg.Counter("pass_wal_truncations_total").Inc()
 	return nil
 }
 
@@ -555,6 +524,7 @@ func (n *Node) catchUpIfDue() {
 			}
 			n.mu.Lock()
 			n.view.Merge(v)
+			n.pend.wholeView = true
 			// Fast-forward own sequence past anything peers already saw
 			// from the pre-wipe incarnation, or new publishes would be
 			// suppressed as duplicates forever.
@@ -578,7 +548,7 @@ func (n *Node) catchUpIfDue() {
 			// WAL-logged — pulled state must survive the NEXT crash.
 			for len(ps) > 0 {
 				chunk := ps[:min(len(ps), recoverChunk)]
-				_ = n.storeBatch(chunk, nil) // the compaction below snapshots it anyway
+				_ = n.storeBatch(chunk, nil) // the checkpoint below holds it anyway
 				ps = ps[len(chunk):]
 			}
 			pulled = true

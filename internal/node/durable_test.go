@@ -1,12 +1,16 @@
 package node
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pass/internal/provenance"
+	"pass/internal/wal"
 )
 
 // bootDurableCluster is bootCluster with a data dir per node. The
@@ -243,24 +247,81 @@ func TestWALBitFlipDropsSuffix(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeSnapshotRenameIgnoresTemp: a crash before the rename
-// leaves a stray snap.tmp; recovery must ignore it and replay the WAL.
-func TestCrashBeforeSnapshotRenameIgnoresTemp(t *testing.T) {
+// TestTornCheckpointDropsToWAL: a crash mid-append tears the last
+// checkpoint record before it was synced, so the WAL was never reset;
+// recovery drops the torn record and replays the whole WAL.
+func TestTornCheckpointDropsToWAL(t *testing.T) {
 	nd, cfg, _ := putSolo(t, 5, 0)
+	walPath, snapPath := filepath.Join(cfg.DataDir, "wal.log"), filepath.Join(cfg.DataDir, "snap")
+	preWal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := viewFP(nd)
+	if err := nd.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	nd.Close()
-	if err := os.WriteFile(filepath.Join(cfg.DataDir, "snap.tmp"), []byte("half-written garbage"), 0o644); err != nil {
+	offs := walRecordOffsets(t, snapPath)
+	if len(offs) != 1 {
+		t.Fatalf("want 1 checkpoint record, have %d", len(offs))
+	}
+	if err := os.Truncate(snapPath, offs[0]+12); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, preWal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back := restartNode(t, cfg)
 	if got := storeLen(back); got != 5 {
-		t.Fatalf("recovered %d records with a stray snap.tmp, want 5", got)
+		t.Fatalf("recovered %d records past a torn checkpoint, want 5", got)
+	}
+	if got := viewFP(back); got != want {
+		t.Fatalf("recovered fingerprint %x past a torn checkpoint, want %x", got, want)
 	}
 }
 
-// TestCrashAfterRenameBeforeReset is the other compaction crash window:
-// the snapshot landed but the WAL was not yet truncated, so recovery
-// replays the full log ON TOP of the snapshot. The replay must be
-// idempotent — same fingerprint, no duplicated state.
+// TestParentSnapshotRefused: a whole-state JSON snapshot from before the
+// checkpoint log is refused at boot, with an error naming the file.
+func TestParentSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snap")
+	old := append([]byte("PASSSNP1\x00\x00\x00\x00"), `{"mode":"passnet"}`...)
+	if err := os.WriteFile(snap, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{ID: 0, Mode: "passnet", Listen: "127.0.0.1:0", DataDir: dir})
+	if !errors.Is(err, wal.ErrNotWAL) || !strings.Contains(err.Error(), snap) {
+		t.Fatalf("boot over a JSON snapshot: err %v, want wal.ErrNotWAL naming %s", err, snap)
+	}
+}
+
+// TestCheckpointCostsTheDelta: a checkpoint holds what changed since the
+// last one, not the store, so with CompactEvery k the last checkpoint
+// record after 40·k puts is at most twice the size of the first. Sizes
+// are read from the file.
+func TestCheckpointCostsTheDelta(t *testing.T) {
+	const k = 16
+	_, cfg, _ := putSolo(t, 40*k, k)
+	var sizes []int
+	if _, err := wal.Replay(filepath.Join(cfg.DataDir, "snap"), func(p []byte) error {
+		sizes = append(sizes, len(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sizes) < 30 {
+		t.Fatalf("%d checkpoints after %d puts at CompactEvery %d", len(sizes), 40*k, k)
+	}
+	if first, last := sizes[0], sizes[len(sizes)-1]; last > 2*first {
+		t.Fatalf("checkpoint grew from %d to %d bytes: it re-serialises the store", first, last)
+	}
+}
+
+// TestCrashAfterRenameBeforeReset is the other checkpoint crash window:
+// the checkpoint was synced but the WAL was not yet truncated, so
+// recovery replays the full log ON TOP of the checkpoints. The replay
+// must be idempotent — same fingerprint, no duplicated state.
 func TestCrashAfterRenameBeforeReset(t *testing.T) {
 	nd, cfg, _ := putSolo(t, 5, 0)
 	walPath := filepath.Join(cfg.DataDir, "wal.log")
@@ -273,17 +334,17 @@ func TestCrashAfterRenameBeforeReset(t *testing.T) {
 	}
 	want := viewFP(nd)
 	nd.Close()
-	// Undo the Reset: restore the pre-compaction log next to the
-	// fresh snapshot — exactly the crash-between-rename-and-reset state.
+	// Undo the Reset: restore the pre-checkpoint log next to the fresh
+	// checkpoint — exactly the crash-between-sync-and-reset state.
 	if err := os.WriteFile(walPath, preWal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back := restartNode(t, cfg)
 	if got := storeLen(back); got != 5 {
-		t.Fatalf("snapshot+full-log replay yielded %d records, want 5", got)
+		t.Fatalf("checkpoint+full-log replay yielded %d records, want 5", got)
 	}
 	if got := viewFP(back); got != want {
-		t.Fatalf("snapshot+full-log replay fingerprint %x, want %x", got, want)
+		t.Fatalf("checkpoint+full-log replay fingerprint %x, want %x", got, want)
 	}
 }
 
@@ -530,4 +591,91 @@ func TestDuplicatePutKeepsSequence(t *testing.T) {
 	if r := queryRecall(t, c, nodes[1].Addr(), "dup", acked); r != 1.0 {
 		t.Fatalf("recall via the peer after the restart = %.3f, want 1.0", r)
 	}
+}
+
+// TestIntAttrQueryThroughDHTRestart is TestIntAttrQueryThroughPeer for
+// dht seats: postings under binary attribute keys must survive every
+// seat's checkpoint and restart, or a query for the key misses.
+func TestIntAttrQueryThroughDHTRestart(t *testing.T) {
+	nodes, cfgs, _, c := bootDurableCluster(t, "dht", 3, 0)
+	tickAll(t, c, nodes)
+	values := []int64{1, 63, 64, 200, 1000, 70000}
+	want := make(map[int64]provenance.ID)
+	for _, v := range values {
+		id, err := c.Put(nodes[0].Addr(), testRecord(t, int(v), "int-attr-dht"))
+		if err != nil {
+			t.Fatalf("put n=%d: %v", v, err)
+		}
+		want[v] = id
+	}
+	for i := range nodes {
+		if err := nodes[i].Compact(); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i].Close()
+		nodes[i] = restartNode(t, cfgs[i])
+	}
+	for _, at := range nodes {
+		var missed []int64
+		for _, v := range values {
+			ids, err := c.QueryAttr(at.Addr(), "n", provenance.Int64(v))
+			if err != nil {
+				t.Fatalf("query n=%d via node %d: %v", v, at.cfg.ID, err)
+			}
+			if !containsID(ids, want[v]) {
+				missed = append(missed, v)
+			}
+		}
+		if len(missed) > 0 {
+			t.Errorf("after every seat restarted: query through node %d misses n=%v", at.cfg.ID, missed)
+		}
+	}
+}
+
+// checkpointRecords returns checkpoint records of both modes, empty
+// and with every part.
+func checkpointRecords(t testing.TB) [][]byte {
+	frames := deltaFrames(t)
+	passnet := appendPart([]byte{'p'}, 'r', []byte(`[{"id":1,"addr":"127.0.0.1:9"}]`))
+	passnet = appendPart(passnet, 'a', make([]byte, 12))
+	passnet = appendPart(passnet, 'n', make([]byte, 8))
+	passnet = appendPart(passnet, 'o', frames[2])
+	passnet = appendPart(passnet, 'p', make([]byte, 9))
+	passnet = appendPart(passnet, 'v', []byte{1, 2, 0, 0, 0})
+	dht := []byte{'d'}
+	for _, l := range putFrames(t, 3) {
+		dht = appendPart(dht, 's', l)
+	}
+	return [][]byte{{'p'}, {'d'}, passnet, dht}
+}
+
+// FuzzLoadCheckpoint covers the checkpoint record decoder every boot
+// runs over the checkpoint log. No input may panic, nothing is reserved
+// by a length beyond what the record holds, and every record accepted
+// re-encodes to exactly its input.
+func FuzzLoadCheckpoint(f *testing.F) {
+	for _, r := range checkpointRecords(f) {
+		f.Add(r)
+		for _, cut := range []int{1, 2, 5, len(r) / 2, len(r) - 1} {
+			if cut < len(r) {
+				f.Add(r[:cut])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var parts [][]byte
+		if err := decodeCheckpoint(b, func(part []byte) error {
+			parts = append(parts, part)
+			return nil
+		}); err != nil {
+			return
+		}
+		got := []byte{b[0]}
+		for _, part := range parts {
+			got = appendPart(got, part[0], part[1:])
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("accepted record does not round-trip:\n got %x\nwant %x", got, b)
+		}
+	})
 }

@@ -153,7 +153,9 @@ func TestPassnetTickOneFramePerPeer(t *testing.T) {
 		}
 		acked[id] = true
 	}
-	tick := func() (frames int64, wal []int64) {
+	// tick runs one tick at the origin; each peer must receive exactly
+	// perPeer messages in it.
+	tick := func(perPeer int64) (frames int64, wal []int64) {
 		t.Helper()
 		before := clusterStats(t, c, nodes)
 		if err := c.Tick(nodes[0].Addr()); err != nil {
@@ -165,14 +167,14 @@ func TestPassnetTickOneFramePerPeer(t *testing.T) {
 		for i := range nodes {
 			wal = append(wal, after[i].WalRecords-before[i].WalRecords)
 			if i > 0 {
-				if in := after[i].MsgsIn - before[i].MsgsIn - 1; in != frames/2 { // less the second TStat
-					t.Errorf("peer %d received %d messages in the tick, want %d", i, in, frames/2)
+				if in := after[i].MsgsIn - before[i].MsgsIn - 1; in != perPeer { // less the second TStat
+					t.Errorf("peer %d received %d messages in the tick, want %d", i, in, perPeer)
 				}
 			}
 		}
 		return frames, wal
 	}
-	frames, wal := tick()
+	frames, wal := tick(1)
 	if frames != 2 {
 		t.Errorf("tick sent %d frames, want 2 (one per peer)", frames)
 	}
@@ -184,7 +186,7 @@ func TestPassnetTickOneFramePerPeer(t *testing.T) {
 			t.Errorf("recall via peer %d after the tick = %.3f, want 1.0", nd.cfg.ID, r)
 		}
 	}
-	if frames, wal = tick(); frames != 0 || wal[0]+wal[1]+wal[2] != 0 {
+	if frames, wal = tick(0); frames != 0 || wal[0]+wal[1]+wal[2] != 0 {
 		t.Errorf("second tick sent %d frames and appended %v WAL records, want none", frames, wal)
 	}
 }

@@ -60,13 +60,14 @@ type Config struct {
 	Listen string // UDP listen address ("127.0.0.1:0" for ephemeral)
 
 	// DataDir, when set, makes the node durable: every applied mutation
-	// is WAL-appended before acknowledgment and compacted into a
-	// snapshot, and a restart recovers from both (see durable.go).
+	// is WAL-appended before acknowledgment and periodically checkpointed
+	// into an append-only checkpoint log, and a restart recovers from
+	// both (see durable.go).
 	DataDir string
 	// Fsync syncs the WAL on every append — durability against machine
 	// crash, not just process death, at a large latency cost.
 	Fsync bool
-	// CompactEvery is the WAL record count that triggers compaction
+	// CompactEvery is the WAL record count that triggers a checkpoint
 	// (defaultCompactEvery when zero).
 	CompactEvery int64
 }
@@ -116,15 +117,19 @@ type Node struct {
 	peers map[int32]*net.UDPAddr
 	order []int32 // sorted peer IDs
 
-	// passnet state.
+	// passnet state. store is shared with dht (its primary records); in
+	// passnet mode it holds only the node's own publishes, and its
+	// attribute index is the node's local postings.
 	store  *arch.SiteStore
-	posts  map[string][]provenance.ID // composite attr key -> local postings
 	view   *siteview.View
 	seq    uint64
 	outbox map[int32][]*siteview.Delta
 
-	// durability state (durable.go); log is nil without a data dir.
+	// durability state (durable.go); log and ckpt are nil without a
+	// data dir.
 	log       *wal.Log
+	ckpt      *wal.Log                   // the checkpoint log
+	pend      pending                    // applied since the last checkpoint
 	acked     map[int32]uint64           // per-peer highest own seq acknowledged
 	own       map[uint64]*siteview.Delta // retained own deltas (outbox rebuild window)
 	recovered bool                       // state came back from disk at boot
@@ -156,7 +161,6 @@ func New(cfg Config) (*Node, error) {
 		reg:       metrics.NewRegistry(),
 		peers:     make(map[int32]*net.UDPAddr),
 		store:     arch.NewSiteStore(),
-		posts:     make(map[string][]provenance.ID),
 		view:      siteview.NewView(netsim.SiteID(cfg.ID)),
 		outbox:    make(map[int32][]*siteview.Delta),
 		acked:     make(map[int32]uint64),
@@ -191,12 +195,13 @@ func (n *Node) Addr() *net.UDPAddr { return n.ep.Addr() }
 // Registry exposes the node's metrics registry (passd serves it).
 func (n *Node) Registry() *metrics.Registry { return n.reg }
 
-// Close shuts the node's socket down and syncs and closes its WAL.
+// Close shuts the node's socket down and syncs and closes its logs.
 func (n *Node) Close() {
 	n.ep.Close()
 	n.mu.Lock()
 	if n.log != nil {
 		n.log.Close()
+		n.ckpt.Close()
 	}
 	n.mu.Unlock()
 }
@@ -285,7 +290,7 @@ func (n *Node) handlePeers(payload []byte, reply func(wire.Type, []byte)) {
 }
 
 // setRosterLocked installs a peer roster — the shared body of the TPeers
-// verb and the durable recovery paths ('r' WAL records, snapshots).
+// verb and the durable recovery paths ('r' WAL records, checkpoints).
 // Caller holds n.mu (or is in single-threaded recovery).
 func (n *Node) setRosterLocked(roster []Peer) error {
 	n.peers = make(map[int32]*net.UDPAddr, len(roster))
@@ -470,12 +475,13 @@ func (n *Node) handleAttrQ(payload []byte, reply func(wire.Type, []byte)) {
 	mk := string(payload)
 	n.mu.Lock()
 	var ids []provenance.ID
-	ids = append(ids, n.posts[mk]...)
 	if n.cfg.Mode == "dht" {
 		ids = append(ids, n.attrs[mk]...)
 		for _, bucket := range n.replAttrs {
 			ids = append(ids, bucket[mk]...)
 		}
+	} else {
+		ids = append(ids, n.store.LookupKey(mk)...)
 	}
 	n.mu.Unlock()
 	reply(wire.TAttrQOK, idsPayload(dedupe(ids)))
@@ -498,7 +504,7 @@ func (n *Node) passnetPut(id provenance.ID, rec *provenance.Record, reply func(w
 	binary.LittleEndian.PutUint64(body[:8], seq)
 	copy(body[8:], enc)
 	err := n.walAppend('p', body, func() {
-		d := n.applyOwnPublishLocked(seq, id, rec)
+		d := n.applyOwnPublishLocked(seq, id, rec, body)
 		for _, pid := range n.order {
 			n.outbox[pid] = append(n.outbox[pid], d)
 		}
@@ -620,7 +626,9 @@ func (n *Node) applyDeltasLocked(frame []byte, ds []*siteview.Delta) (gap bool, 
 	}
 	return gap, n.walAppend('d', body, func() {
 		for _, d := range run {
-			n.view.Apply(d)
+			if n.view.Apply(d) && n.cfg.DataDir != "" {
+				n.pend.deltas = append(n.pend.deltas, d)
+			}
 		}
 	})
 }
@@ -659,7 +667,7 @@ func (n *Node) passnetGet(id provenance.ID, reply func(wire.Type, []byte)) {
 // nothing, exactly like a crashed site in the simulation.
 func (n *Node) passnetQuery(mk string, reply func(wire.Type, []byte)) {
 	n.mu.Lock()
-	ids := append([]provenance.ID(nil), n.posts[mk]...)
+	ids := append([]provenance.ID(nil), n.store.LookupKey(mk)...)
 	cands := n.view.CandidatesFor(mk)
 	type target struct {
 		id   int32

@@ -210,9 +210,9 @@ func (l *Log) rollback() error {
 
 // Reset truncates the log back to an empty (header-only) state and
 // syncs. Callers invoke it immediately after checkpointing the log's
-// contents into a snapshot (temp-file + rename), so a crash between the
-// rename and the Reset leaves snapshot + full log — replaying the log on
-// top of the snapshot must therefore be idempotent, which is the
+// contents elsewhere and syncing that checkpoint, so a crash between the
+// sync and the Reset leaves checkpoint + full log — replaying the log on
+// top of the checkpoint must therefore be idempotent, which is the
 // recovery contract durable nodes implement.
 func (l *Log) Reset() error {
 	if l.closed {

@@ -138,7 +138,10 @@ func (ep *Endpoint) SetDrop(from int32, rate float64, seed uint64) {
 func (ep *Endpoint) Dropped() int64 { return ep.dropped.Load() }
 
 // Stats reports cumulative endpoint traffic: messages and bytes in and
-// out (ingress counts datagrams before drop rules run).
+// out (ingress counts datagrams before drop rules run). A send is
+// counted before it is written and taken back if the write fails, so
+// once a peer has received a message — a reply included — the sender's
+// counts already hold it.
 func (ep *Endpoint) Stats() (msgsIn, msgsOut, bytesIn, bytesOut int64) {
 	return ep.msgsIn.Load(), ep.msgsOut.Load(), ep.bytesIn.Load(), ep.bytesOut.Load()
 }
@@ -231,16 +234,21 @@ func (ep *Endpoint) shouldDrop(env Envelope) bool {
 	return r.rate >= 1 || r.rng.Float64() < r.rate
 }
 
-// send transmits one envelope.
+// send transmits one envelope, counted as Stats describes.
 func (ep *Endpoint) send(env Envelope, to *net.UDPAddr) error {
 	b := env.Encode()
-	n, err := ep.conn.WriteToUDP(b, to)
-	if err != nil {
+	ep.countOut(1, len(b))
+	if _, err := ep.conn.WriteToUDP(b, to); err != nil {
+		ep.countOut(-1, -len(b))
 		return err
 	}
-	ep.msgsOut.Add(1)
-	ep.bytesOut.Add(int64(n))
 	return nil
+}
+
+// countOut adds msgs messages of size bytes to the egress counters.
+func (ep *Endpoint) countOut(msgs, size int) {
+	ep.msgsOut.Add(int64(msgs))
+	ep.bytesOut.Add(int64(size))
 }
 
 // Request sends one request envelope and waits for its response (matched

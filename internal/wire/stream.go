@@ -107,11 +107,12 @@ func (ep *Endpoint) serveStreamConn(conn net.Conn) {
 				From: ep.id, MsgID: env.MsgID,
 				Size: uint32(len(payload)), Payload: payload,
 			}
+			size := HeaderSize + 4 + len(payload)
 			wmu.Lock()
 			defer wmu.Unlock()
-			if err := writeFrame(conn, resp); err == nil {
-				ep.msgsOut.Add(1)
-				ep.bytesOut.Add(int64(HeaderSize + 4 + len(payload)))
+			ep.countOut(1, size)
+			if err := writeFrame(conn, resp); err != nil {
+				ep.countOut(-1, -size)
 			}
 		})
 	}
@@ -146,11 +147,12 @@ func (ep *Endpoint) requestStream(to *net.UDPAddr, t Type, payload []byte, d tim
 	_ = conn.SetDeadline(deadline)
 	id := ep.nextMsgID.Add(1)
 	env := Envelope{Ver: Version, Type: t, From: ep.id, MsgID: id, Size: uint32(len(payload)), Payload: payload}
+	size := HeaderSize + 4 + len(payload)
+	ep.countOut(1, size)
 	if err := writeFrame(conn, env); err != nil {
+		ep.countOut(-1, -size)
 		return Envelope{}, fmt.Errorf("%w: stream write to %s: %v", ErrTimeout, addr, err)
 	}
-	ep.msgsOut.Add(1)
-	ep.bytesOut.Add(int64(HeaderSize + 4 + len(payload)))
 	resp, n, err := readFrame(conn)
 	if err != nil {
 		if errors.Is(err, ErrBadEnvelope) {

@@ -168,3 +168,53 @@ func TestEndpointClosedRejects(t *testing.T) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }
+
+// TestReplyCountedBeforeRequesterSeesIt: a replier's egress counters
+// hold every reply the requester has received, on the datagram and the
+// stream path alike, so a round trip followed by a read of the
+// replier's Stats sees exact counts.
+func TestReplyCountedBeforeRequesterSeesIt(t *testing.T) {
+	a, b := newPair(t)
+	// NewEndpoint leaves the stream listener out when the TCP port is
+	// taken (a dialled connection's local port can hold it); rebind the
+	// replier until it has one, or the stream half cannot run.
+	for tries := 0; b.ln == nil && tries < 10; tries++ {
+		b.Close()
+		nb, err := NewEndpoint(2, "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("rebind: %v", err)
+		}
+		t.Cleanup(func() { nb.Close() })
+		b = nb
+	}
+	b.Handle(func(env Envelope, _ *net.UDPAddr, reply func(Type, []byte)) {
+		reply(TPong, env.Payload)
+	})
+	var wantMsgs, wantBytes int64
+	check := func(i int, path string) {
+		t.Helper()
+		_, msgs, _, bytes := b.Stats()
+		if msgs != wantMsgs || bytes != wantBytes {
+			t.Fatalf("%s round trip %d: replier counts %d msgs, %d bytes out; want %d, %d",
+				path, i, msgs, bytes, wantMsgs, wantBytes)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		payload := make([]byte, i%7)
+		if _, err := a.Request(b.Addr(), TPing, payload); err != nil {
+			t.Fatalf("round trip %d: %v", i, err)
+		}
+		wantMsgs++
+		wantBytes += int64(HeaderSize + len(payload))
+		check(i, "datagram")
+	}
+	for i := 0; i < 20; i++ {
+		payload := make([]byte, i)
+		if _, err := a.RequestStream(b.Addr(), TPing, payload); err != nil {
+			t.Fatalf("stream round trip %d: %v", i, err)
+		}
+		wantMsgs++
+		wantBytes += int64(HeaderSize + 4 + len(payload))
+		check(i, "stream")
+	}
+}
