@@ -381,7 +381,7 @@ func IDListRespSize(n int) int { return RespOverhead + n*IDWire }
 // on-disk substrate, which the architecture experiments do not measure.
 type SiteStore struct {
 	recs     map[provenance.ID]*provenance.Record
-	attr     map[string][]provenance.ID // attrMapKey -> postings
+	attr     map[string][]provenance.ID // AttrKey -> postings
 	children map[provenance.ID][]provenance.ID
 }
 
@@ -394,8 +394,9 @@ func NewSiteStore() *SiteStore {
 	}
 }
 
-// attrMapKey builds the postings map key for (key, value).
-func attrMapKey(key string, value provenance.Value) string {
+// AttrKey builds the composite postings key for (key, value): key \x00
+// canonical value. Real nodes send it on the wire as a query.
+func AttrKey(key string, value provenance.Value) string {
 	return key + "\x00" + string(value.Canonical())
 }
 
@@ -421,7 +422,7 @@ func (st *SiteStore) Add(id provenance.ID, rec *provenance.Record) {
 	}
 	st.recs[id] = rec
 	for _, a := range QueriableAttrs(rec) {
-		k := attrMapKey(a.Key, a.Value)
+		k := AttrKey(a.Key, a.Value)
 		st.attr[k] = append(st.attr[k], id)
 	}
 	for _, p := range rec.Parents {
@@ -440,11 +441,10 @@ func (st *SiteStore) Len() int { return len(st.recs) }
 
 // LookupAttr returns the postings for (key, value).
 func (st *SiteStore) LookupAttr(key string, value provenance.Value) []provenance.ID {
-	return st.attr[attrMapKey(key, value)]
+	return st.attr[AttrKey(key, value)]
 }
 
-// LookupKey returns the postings for a composite key already built as
-// key \x00 canonical value — the form queries carry on the wire.
+// LookupKey returns the postings for a composite key AttrKey built.
 func (st *SiteStore) LookupKey(mk string) []provenance.ID {
 	return st.attr[mk]
 }

@@ -355,10 +355,8 @@ func (n *Node) handleStat(reply func(wire.Type, []byte)) {
 // ---- shared data-plane helpers ----
 
 // mkOf builds the composite attribute-index key passnet and dht use
-// everywhere: key \x00 canonical value.
-func mkOf(a provenance.Attribute) string {
-	return a.Key + "\x00" + string(a.Value.Canonical())
-}
+// everywhere — the store's own key, so passnet postings are its index.
+func mkOf(a provenance.Attribute) string { return arch.AttrKey(a.Key, a.Value) }
 
 // idsPayload flattens record IDs for a TQueryOK/TAttrQOK payload.
 func idsPayload(ids []provenance.ID) []byte {
