@@ -1,8 +1,9 @@
 # Build, test, and verification entry points for the PASS reproduction.
 #
 #   make check         — the full gate: vet, the whole test suite, a race
-#                        pass over the concurrent packages, the hot-path
-#                        microbenchmarks, and the perf regression gate.
+#                        pass over the concurrent packages, the windows
+#                        and darwin builds, the hot-path microbenchmarks,
+#                        and the perf regression gate.
 #                        Run before sending a PR.
 #   make short         — quick edit loop: -short shrinks the 1,000-site
 #                        conformance sweeps and skips the 10k-site ones.
@@ -11,10 +12,11 @@
 #                        committed BENCH_3.json baseline. BENCH.json is
 #                        scratch output (gitignored).
 #   make bench-quick   — the hot-path microbenchmarks (netsim Send,
-#                        passnet Tick, siteview Apply, dht Lookup) at
-#                        -benchtime=100x: fast enough for every check run,
-#                        and it executes the allocation assertions' code
-#                        paths so a Send regression fails loudly here.
+#                        kvstore table Get and Scan, passnet Tick,
+#                        siteview Apply, dht Lookup) at -benchtime=100x:
+#                        fast enough for every check run, and it executes
+#                        the allocation assertions' code paths so a Send
+#                        regression fails loudly here.
 #   make bench-smoke   — vet the benchmark module (benchmark/, its own
 #                        go.mod) and run its tests, which include a 1%
 #                        run of all four workloads against real passd
@@ -26,6 +28,9 @@
 #                        drifts from the node code's "pass_…" literals,
 #                        or README/ARCHITECTURE name a make target or
 #                        package path that does not exist (cmd/docscheck).
+#   make cross         — build the whole module for windows and darwin,
+#                        which keeps kvstore's off-unix heap table reader
+#                        and the unix mmap one compiling on both sides.
 #   make bench-check   — run the suite at the baseline's scale and fail on
 #                        runtime regressions or broken recall invariants
 #                        (cmd/benchcheck).
@@ -41,7 +46,7 @@
 
 GO ?= go
 
-.PHONY: all build test short vet race check bench bench-quick bench-check bench-smoke docs-check fuzz same-tables
+.PHONY: all build test short vet race check cross bench bench-quick bench-check bench-smoke docs-check fuzz same-tables
 
 all: build
 
@@ -71,7 +76,13 @@ race:
 	$(GO) test -race -count=1 ./internal/core ./internal/kvstore ./internal/netsim ./internal/metrics ./internal/ratelimit ./internal/wire ./internal/node
 	$(GO) test -race -count=1 -run 'TestSerialParallelEquivalence|TestRunCells' ./internal/harness
 
-check: vet test race bench-quick bench-check bench-smoke docs-check
+check: vet test race cross bench-quick bench-check bench-smoke docs-check
+
+# kvstore maps its tables on unix and reads them into the heap elsewhere;
+# the one platform of each kind keeps both files compiling.
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 # The benchmark is a module of its own, so `go vet ./...` and
 # `go test ./...` at the root do not reach it.
@@ -94,6 +105,7 @@ bench:
 # files, e.g. TestSendZeroAllocs).
 bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkSend|BenchmarkBroadcast|BenchmarkStats' -benchtime=100x ./internal/netsim
+	$(GO) test -run '^$$' -bench '^(BenchmarkGetFromTables|BenchmarkScan)$$' -benchtime=100x ./internal/kvstore
 	$(GO) test -run '^$$' -bench 'BenchmarkPassnetTick' -benchtime=100x ./internal/arch/passnet
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteviewApply' -benchtime=100x ./internal/arch/siteview
 	$(GO) test -run '^$$' -bench 'BenchmarkDHTLookup' -benchtime=100x ./internal/arch/dht
@@ -120,6 +132,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeEncoded$$' -fuzztime 10s ./internal/arch/siteview
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/provenance
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenTable$$' -fuzztime 10s ./internal/kvstore
 
 # Extract $(REF) with git archive, run the deterministic tables there and
 # in the working tree, drop the wall-clock "(… completed in …)" lines, and

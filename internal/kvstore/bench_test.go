@@ -18,7 +18,7 @@ func benchStore(b *testing.B, opts Options) *Store {
 	return s
 }
 
-func fillKeys(b *testing.B, s *Store, n int) [][]byte {
+func fillKeys(b testing.TB, s *Store, n int) [][]byte {
 	b.Helper()
 	keys := make([][]byte, n)
 	for i := 0; i < n; i++ {
@@ -76,6 +76,26 @@ func BenchmarkGetFromTables(b *testing.B) {
 	}
 }
 
+// TestGetFromTableAllocs pins the table read path at no allocation per
+// entry decoded: a Get served from a table copies its value out of the
+// mapping, and the bound leaves room for one allocation more. A lookup
+// that builds a buffered reader and copies every entry it passes takes
+// about 20.
+func TestGetFromTableAllocs(t *testing.T) {
+	s := openTest(t, Options{})
+	keys := fillKeys(t, s, 2000)
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := s.Get(keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i += 7
+	})
+	if allocs > 2 {
+		t.Fatalf("Get from a table allocates %v times, want <= 2", allocs)
+	}
+}
+
 // BenchmarkGetMissing isolates the bloom filter's value: negative lookups
 // across several tables.
 func BenchmarkGetMissing(b *testing.B) {
@@ -108,6 +128,23 @@ func BenchmarkScan(b *testing.B) {
 		if n != 20000 {
 			b.Fatalf("scanned %d", n)
 		}
+	}
+}
+
+// TestScanAllocsPerKey pins Scan at its one copy of each key and value:
+// entries decoded from a table alias the mapping and cost nothing more.
+func TestScanAllocsPerKey(t *testing.T) {
+	const n = 5000
+	s := openTest(t, Options{})
+	fillKeys(t, s, n)
+	allocs := testing.AllocsPerRun(5, func() {
+		seen := 0
+		if err := s.Scan(nil, nil, func(k, v []byte) bool { seen++; return true }); err != nil || seen != n {
+			t.Fatalf("scanned %d keys (%v), want %d", seen, err, n)
+		}
+	})
+	if perKey := allocs / n; perKey > 2.1 {
+		t.Fatalf("Scan allocates %.2f times per key, want <= 2.1", perKey)
 	}
 }
 

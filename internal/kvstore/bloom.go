@@ -95,7 +95,8 @@ func unmarshalBloom(data []byte) (*bloomFilter, bool) {
 	if b.k == 0 || b.k > 64 || b.nbits == 0 {
 		return nil, false
 	}
-	if uint64(len(data)-12) != (b.nbits+7)/8 {
+	// Bound nbits by the bytes present first: near 2^64, nbits+7 wraps.
+	if n := uint64(len(data) - 12); b.nbits > n*8 || (b.nbits+7)/8 != n {
 		return nil, false
 	}
 	b.bits = data[12:]

@@ -44,16 +44,19 @@ type indexEntry struct {
 	offset int64
 }
 
-// table is an open, immutable SSTable.
+// table is an open, immutable SSTable. Its entry region is mapped
+// read-only on unix (read into the heap elsewhere, see mapRegion), so
+// iterators hand out sub-slices of data without a syscall or a copy.
+// Those slices are valid only until close, which runs under Store.mu;
+// the store copies whatever it returns before releasing the lock.
 type table struct {
-	f       *os.File
-	path    string
-	seq     int64 // generation; higher shadows lower
-	index   []indexEntry
-	bloom   *bloomFilter
-	count   int64
-	dataEnd int64 // offset where entries stop (== indexOff)
-	size    int64
+	path  string
+	seq   int64 // generation; higher shadows lower
+	index []indexEntry
+	bloom *bloomFilter
+	count int64
+	data  []byte // entry region [0, indexOff)
+	size  int64
 }
 
 // entrySource supplies ordered unique entries to writeTable.
@@ -198,20 +201,16 @@ func writeTable(path string, src entrySource, bitsPerKey int, dropTombstones boo
 
 var crcTableKV = crc32.MakeTable(crc32.Castagnoli)
 
-// openTable opens and validates an SSTable. With verifyData, the whole
-// entry region is checksummed (one sequential read).
+// openTable opens and validates an SSTable and maps its entry region.
+// With verifyData, the whole entry region is checksummed.
 func openTable(path string, seq int64, verifyData bool) (*table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open table: %w", err)
 	}
-	t := &table{f: f, path: path, seq: seq}
-	ok := false
-	defer func() {
-		if !ok {
-			f.Close()
-		}
-	}()
+	// The mapping, not the descriptor, keeps the file readable.
+	defer f.Close()
+	t := &table{path: path, seq: seq}
 
 	st, err := f.Stat()
 	if err != nil {
@@ -236,7 +235,6 @@ func openTable(path string, seq int64, verifyData bool) (*table, error) {
 	if indexOff < 0 || bloomOff < indexOff || bloomOff > t.size-footerSize {
 		return nil, fmt.Errorf("%w: %s bad offsets", ErrBadTable, path)
 	}
-	t.dataEnd = indexOff
 
 	meta := make([]byte, t.size-footerSize-indexOff)
 	if _, err := f.ReadAt(meta, indexOff); err != nil {
@@ -245,10 +243,11 @@ func openTable(path string, seq int64, verifyData bool) (*table, error) {
 	if crc32.Checksum(meta, crcTableKV) != metaCRC {
 		return nil, fmt.Errorf("%w: %s meta checksum", ErrBadTable, path)
 	}
-	// Parse sparse index.
+	// Parse sparse index. Each entry takes at least two bytes, which
+	// bounds the count before anything is reserved for it.
 	p := meta[:bloomOff-indexOff]
 	n, w := binary.Uvarint(p)
-	if w <= 0 {
+	if w <= 0 || n > uint64(len(p)-w)/2 {
 		return nil, fmt.Errorf("%w: %s index count", ErrBadTable, path)
 	}
 	p = p[w:]
@@ -261,7 +260,9 @@ func openTable(path string, seq int64, verifyData bool) (*table, error) {
 		key := append([]byte(nil), p[w:w+int(kl)]...)
 		p = p[w+int(kl):]
 		off, w := binary.Uvarint(p)
-		if w <= 0 {
+		// Offsets index into the mapped entry region: they must stay
+		// inside it and never step back.
+		if w <= 0 || off > uint64(indexOff) || (i > 0 && int64(off) < t.index[i-1].offset) {
 			return nil, fmt.Errorf("%w: %s index offset", ErrBadTable, path)
 		}
 		p = p[w:]
@@ -273,30 +274,28 @@ func openTable(path string, seq int64, verifyData bool) (*table, error) {
 	}
 	t.bloom = bloom
 
-	if verifyData {
-		h := crc32.New(crcTableKV)
-		if _, err := io.Copy(h, io.NewSectionReader(f, 0, indexOff)); err != nil {
-			return nil, err
-		}
-		if h.Sum32() != dataCRC {
-			return nil, fmt.Errorf("%w: %s data checksum", ErrBadTable, path)
-		}
+	if t.data, err = mapRegion(f, indexOff); err != nil {
+		return nil, fmt.Errorf("kvstore: map %s: %w", path, err)
 	}
-	ok = true
+	if verifyData && crc32.Checksum(t.data, crcTableKV) != dataCRC {
+		t.close()
+		return nil, fmt.Errorf("%w: %s data checksum", ErrBadTable, path)
+	}
 	return t, nil
 }
 
-func (t *table) close() error { return t.f.Close() }
+func (t *table) close() error {
+	err := unmapRegion(t.data)
+	t.data = nil
+	return err
+}
 
-// get performs a point lookup.
+// get performs a point lookup. The value is copied out of the mapping.
 func (t *table) get(key []byte) (value []byte, tombstone, found bool, err error) {
 	if !t.bloom.mayContain(key) {
 		return nil, false, false, nil
 	}
-	it, err := t.iter(key)
-	if err != nil {
-		return nil, false, false, err
-	}
+	it := t.iter(key)
 	k, v, tomb, ok, err := it.next()
 	if err != nil || !ok {
 		return nil, false, false, err
@@ -304,12 +303,12 @@ func (t *table) get(key []byte) (value []byte, tombstone, found bool, err error)
 	if !bytes.Equal(k, key) {
 		return nil, false, false, nil
 	}
-	return v, tomb, true, nil
+	return append([]byte(nil), v...), tomb, true, nil
 }
 
 // iter returns an iterator positioned at the first entry with key >= start
 // (nil start = first entry).
-func (t *table) iter(start []byte) (*tableIter, error) {
+func (t *table) iter(start []byte) tableIter {
 	offset := int64(0)
 	if len(start) > 0 && len(t.index) > 0 {
 		// Binary search: last index entry with key <= start.
@@ -320,50 +319,40 @@ func (t *table) iter(start []byte) (*tableIter, error) {
 			offset = t.index[i-1].offset
 		}
 	}
-	it := &tableIter{
-		r:     bufio.NewReaderSize(io.NewSectionReader(t.f, offset, t.dataEnd-offset), 1<<14),
-		start: start,
-	}
-	return it, nil
+	return tableIter{data: t.data[offset:], start: start}
 }
 
-// tableIter scans entries sequentially, skipping until start.
+// tableIter decodes entries in place, skipping until start. The key and
+// value it returns alias the table's mapping.
 type tableIter struct {
-	r       *bufio.Reader
+	data    []byte // entries not yet decoded
 	start   []byte
 	started bool
 }
 
 // next returns the next entry. ok=false at the end.
 func (it *tableIter) next() (key, value []byte, tombstone, ok bool, err error) {
-	for {
-		kl, err := binary.ReadUvarint(it.r)
-		if err == io.EOF {
-			return nil, nil, false, false, nil
+	for len(it.data) > 0 {
+		p := it.data
+		kl, w := binary.Uvarint(p)
+		if w <= 0 || kl >= uint64(len(p)-w) { // the flag byte follows the key
+			return nil, nil, false, false, fmt.Errorf("%w: truncated entry key", ErrBadTable)
 		}
-		if err != nil {
-			return nil, nil, false, false, fmt.Errorf("%w: entry key len: %v", ErrBadTable, err)
+		p = p[w:]
+		key = p[:kl:kl]
+		flag := p[kl]
+		p = p[kl+1:]
+		vl, w := binary.Uvarint(p)
+		if w <= 0 || vl > uint64(len(p)-w) {
+			return nil, nil, false, false, fmt.Errorf("%w: truncated entry value", ErrBadTable)
 		}
-		key = make([]byte, kl)
-		if _, err := io.ReadFull(it.r, key); err != nil {
-			return nil, nil, false, false, fmt.Errorf("%w: entry key: %v", ErrBadTable, err)
-		}
-		flag, err := it.r.ReadByte()
-		if err != nil {
-			return nil, nil, false, false, fmt.Errorf("%w: entry flag: %v", ErrBadTable, err)
-		}
-		vl, err := binary.ReadUvarint(it.r)
-		if err != nil {
-			return nil, nil, false, false, fmt.Errorf("%w: entry val len: %v", ErrBadTable, err)
-		}
-		value = make([]byte, vl)
-		if _, err := io.ReadFull(it.r, value); err != nil {
-			return nil, nil, false, false, fmt.Errorf("%w: entry val: %v", ErrBadTable, err)
-		}
+		p = p[w:]
+		value, it.data = p[:vl:vl], p[vl:]
 		if !it.started && len(it.start) > 0 && bytes.Compare(key, it.start) < 0 {
 			continue // still before start
 		}
 		it.started = true
 		return key, value, flag&1 != 0, true, nil
 	}
+	return nil, nil, false, false, nil
 }

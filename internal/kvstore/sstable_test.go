@@ -2,7 +2,11 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,10 +76,7 @@ func TestTableGetHitsAndMisses(t *testing.T) {
 
 func TestTableIteratorFullScan(t *testing.T) {
 	tb, _ := buildTestTable(t, 100, false)
-	it, err := tb.iter(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := tb.iter(nil)
 	var prev []byte
 	count := 0
 	for {
@@ -99,22 +100,19 @@ func TestTableIteratorFullScan(t *testing.T) {
 
 func TestTableIteratorSeek(t *testing.T) {
 	tb, _ := buildTestTable(t, 200, false)
-	it, err := tb.iter([]byte("key-00150"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := tb.iter([]byte("key-00150"))
 	k, _, _, ok, err := it.next()
 	if err != nil || !ok || string(k) != "key-00150" {
 		t.Fatalf("seek landed on %q (%v, %v)", k, ok, err)
 	}
 	// Seek between keys lands on the next one.
-	it, _ = tb.iter([]byte("key-00150a"))
+	it = tb.iter([]byte("key-00150a"))
 	k, _, _, ok, _ = it.next()
 	if !ok || string(k) != "key-00151" {
 		t.Fatalf("between-keys seek landed on %q", k)
 	}
 	// Seek past the end yields nothing.
-	it, _ = tb.iter([]byte("zzz"))
+	it = tb.iter([]byte("zzz"))
 	if _, _, _, ok, _ := it.next(); ok {
 		t.Fatal("seek past end returned an entry")
 	}
@@ -196,10 +194,162 @@ func TestTableEmptySource(t *testing.T) {
 	if _, _, found, _ := tb.get([]byte("any")); found {
 		t.Fatal("empty table found a key")
 	}
-	it, _ := tb.iter(nil)
+	it := tb.iter(nil)
 	if _, _, _, ok, _ := it.next(); ok {
 		t.Fatal("empty table iterated an entry")
 	}
+}
+
+// sealTable rewrites the footer's checksums over the regions its offsets
+// name, so a corrupted structure gets past the CRCs to the parser.
+func sealTable(b []byte) []byte {
+	if len(b) < footerSize {
+		return b
+	}
+	footer := b[len(b)-footerSize:]
+	metaEnd := uint64(len(b) - footerSize)
+	indexOff := binary.LittleEndian.Uint64(footer[0:8])
+	if indexOff > metaEnd {
+		return b
+	}
+	binary.LittleEndian.PutUint32(footer[24:28], crc32.Checksum(b[:indexOff], crcTableKV))
+	binary.LittleEndian.PutUint32(footer[28:32], crc32.Checksum(b[indexOff:metaEnd], crcTableKV))
+	return b
+}
+
+// rawTable assembles a sealed table file around a hand-made entry region
+// and sparse index.
+func rawTable(entries []byte, index ...indexEntry) []byte {
+	b := append([]byte(nil), entries...)
+	indexOff := len(b)
+	b = binary.AppendUvarint(b, uint64(len(index)))
+	for _, ie := range index {
+		b = binary.AppendUvarint(b, uint64(len(ie.key)))
+		b = append(b, ie.key...)
+		b = binary.AppendUvarint(b, uint64(ie.offset))
+	}
+	bloomOff := len(b)
+	b = append(b, newBloomFilter(len(index), 10).marshal()...)
+	var footer [footerSize]byte
+	binary.LittleEndian.PutUint64(footer[0:8], uint64(indexOff))
+	binary.LittleEndian.PutUint64(footer[8:16], uint64(bloomOff))
+	binary.LittleEndian.PutUint64(footer[16:24], uint64(len(index)))
+	binary.LittleEndian.PutUint64(footer[32:40], tableMagic)
+	return sealTable(append(b, footer[:]...))
+}
+
+func openRawTable(t *testing.T, b []byte) (*table, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "raw.sst")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := openTable(path, 1, true)
+	if err == nil {
+		t.Cleanup(func() { tb.close() })
+	}
+	return tb, err
+}
+
+// Index offsets slice the mapped entry region, so openTable must refuse
+// any that leave it or step back.
+func TestOpenTableRejectsBadIndexOffsets(t *testing.T) {
+	entry := []byte{1, 'a', 0, 1, 'v'}
+	two := append(append([]byte(nil), entry...), 1, 'b', 0, 1, 'w')
+	if _, err := openRawTable(t, rawTable(entry, indexEntry{key: []byte("a")})); err != nil {
+		t.Fatalf("well-formed raw table rejected: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"past the entry region": rawTable(entry, indexEntry{key: []byte("a"), offset: 6}),
+		"past 2^63":             rawTable(entry, indexEntry{key: []byte("a"), offset: -1}),
+		"decreasing":            rawTable(two, indexEntry{key: []byte("a"), offset: 5}, indexEntry{key: []byte("b")}),
+	} {
+		if _, err := openRawTable(t, b); !errors.Is(err, ErrBadTable) {
+			t.Errorf("%s: openTable = %v, want ErrBadTable", name, err)
+		}
+	}
+}
+
+// A truncated entry is an error, never an out-of-range slice, including
+// lengths whose sum with the bytes around them wraps.
+func TestTableIterRejectsTruncatedEntry(t *testing.T) {
+	for name, entries := range map[string][]byte{
+		"key length 2^64-1":   binary.AppendUvarint(nil, math.MaxUint64),
+		"no flag byte":        {1, 'a'},
+		"no value length":     {1, 'a', 0},
+		"value length 2^64-1": binary.AppendUvarint([]byte{1, 'a', 0}, math.MaxUint64),
+		"short value":         {1, 'a', 0, 2, 'v'},
+	} {
+		tb, err := openRawTable(t, rawTable(entries))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		it := tb.iter(nil)
+		if _, _, _, _, err := it.next(); !errors.Is(err, ErrBadTable) {
+			t.Errorf("%s: next = %v, want ErrBadTable", name, err)
+		}
+	}
+}
+
+// FuzzOpenTable covers the table reader every Open runs over the files
+// on disk. No input may panic, nothing is reserved by a length beyond
+// what the file holds, and an accepted table iterates and answers point
+// lookups without faulting. With seal set, the footer checksums are
+// recomputed first so mutations reach the index, bloom and entry
+// parsers instead of stopping at the CRC.
+func FuzzOpenTable(f *testing.F) {
+	src := &sliceSource{}
+	for i := 0; i < 40; i++ {
+		src.entries = append(src.entries, sliceEntry{k: []byte(fmt.Sprintf("k%03d", i)), v: []byte("v"), tomb: i%5 == 0})
+	}
+	path := filepath.Join(f.TempDir(), "fuzz.sst")
+	if _, err := writeTable(path, src, 10, false); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cut := range []int{0, footerSize, len(valid) / 2, len(valid) - 1, len(valid)} {
+		f.Add(valid[:cut], false)
+		f.Add(valid[len(valid)-cut:], true)
+	}
+	f.Add(rawTable(nil), false)
+	f.Add(rawTable([]byte{1, 'a', 0, 1, 'v'}, indexEntry{key: []byte("a"), offset: 6}), true)
+	f.Add(rawTable(binary.AppendUvarint(nil, math.MaxUint64)), true)
+	f.Fuzz(func(t *testing.T, b []byte, seal bool) {
+		if seal {
+			b = sealTable(append([]byte(nil), b...))
+		}
+		// Executions within a worker run one at a time, and each unmaps
+		// its table before returning, so they can share one file.
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tb, err := openTable(path, 1, true)
+		if err != nil {
+			return
+		}
+		defer tb.close()
+		if cap(tb.index) > len(b) || len(tb.data) > len(b) {
+			t.Fatalf("reserved %d index entries and %d entry bytes for a %d-byte file", cap(tb.index), len(tb.data), len(b))
+		}
+		it := tb.iter(nil)
+		var first []byte
+		for {
+			k, _, _, ok, err := it.next()
+			if err != nil || !ok {
+				break
+			}
+			if first == nil {
+				first = append([]byte{}, k...)
+			}
+		}
+		tb.get(first)
+		for _, ie := range tb.index {
+			tb.get(ie.key)
+		}
+	})
 }
 
 func TestSkiplistBasics(t *testing.T) {
@@ -354,6 +504,11 @@ func TestBloomMarshalRoundTrip(t *testing.T) {
 	bad = bad[:len(bad)-1] // wrong bit length
 	if _, ok := unmarshalBloom(bad); ok {
 		t.Fatal("length mismatch accepted")
+	}
+	// An nbits whose byte count wraps to zero in 64 bits.
+	wrap := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 1), math.MaxUint64)
+	if _, ok := unmarshalBloom(wrap); ok {
+		t.Fatal("nbits 2^64-1 with no bit bytes accepted")
 	}
 }
 

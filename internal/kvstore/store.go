@@ -519,13 +519,9 @@ func (s *Store) Compact() error {
 func (s *Store) compactLocked() error {
 	srcs := make([]entryStream, len(s.tables))
 	for i, t := range s.tables {
-		it, err := t.iter(nil)
-		if err != nil {
-			return err
-		}
 		// Higher seq = higher priority; memtable absent (it was flushed or
 		// is newer than the merge output and shadows it naturally).
-		srcs[i] = &tableStream{it: it, prio: int(t.seq)}
+		srcs[i] = &tableStream{it: t.iter(nil), prio: int(t.seq)}
 	}
 	merged, err := newMergeStream(srcs)
 	if err != nil {
@@ -535,6 +531,11 @@ func (s *Store) compactLocked() error {
 	path := filepath.Join(s.dir, sstName(seq))
 	if _, err := writeTable(path, merged, s.opts.BloomBitsPerKey, true); err != nil {
 		return err
+	}
+	// nextEntry ends the output early on a read error: keep the inputs.
+	if merged.err != nil {
+		os.Remove(path)
+		return merged.err
 	}
 	t, err := openTable(path, seq, false)
 	if err != nil {
@@ -579,13 +580,13 @@ func (s *Store) Dir() string { return s.dir }
 // entryStream is a positioned stream of ordered entries with a priority
 // (higher priority wins on duplicate keys).
 type entryStream interface {
-	peek() (key []byte, ok bool)
+	peek() (key []byte, ok bool, err error)
 	take() (key, value []byte, tombstone bool, err error)
 	priority() int
 }
 
 type tableStream struct {
-	it   *tableIter
+	it   tableIter
 	prio int
 	k, v []byte
 	tomb bool
@@ -599,14 +600,14 @@ func (ts *tableStream) advance() {
 	ts.init = true
 }
 
-func (ts *tableStream) peek() ([]byte, bool) {
+func (ts *tableStream) peek() ([]byte, bool, error) {
 	if !ts.init {
 		ts.advance()
 	}
 	if ts.err != nil || !ts.ok {
-		return nil, false
+		return nil, false, ts.err
 	}
-	return ts.k, true
+	return ts.k, true, nil
 }
 
 func (ts *tableStream) take() ([]byte, []byte, bool, error) {
@@ -626,11 +627,11 @@ type memStream struct {
 	node *skipNode
 }
 
-func (ms *memStream) peek() ([]byte, bool) {
+func (ms *memStream) peek() ([]byte, bool, error) {
 	if ms.node == nil {
-		return nil, false
+		return nil, false, nil
 	}
-	return ms.node.key, true
+	return ms.node.key, true, nil
 }
 
 func (ms *memStream) take() ([]byte, []byte, bool, error) {
@@ -661,7 +662,11 @@ func (m *mergeStream) next() (key, value []byte, tombstone, ok bool, err error) 
 	var minKey []byte
 	found := false
 	for _, s := range m.srcs {
-		k, ok := s.peek()
+		k, ok, err := s.peek()
+		if err != nil {
+			m.err = err
+			return nil, nil, false, false, err
+		}
 		if !ok {
 			continue
 		}
@@ -677,7 +682,7 @@ func (m *mergeStream) next() (key, value []byte, tombstone, ok bool, err error) 
 	// priority version.
 	bestPrio := -1
 	for _, s := range m.srcs {
-		k, ok := s.peek()
+		k, ok, _ := s.peek()
 		if !ok || !bytes.Equal(k, minKey) {
 			continue
 		}
@@ -721,11 +726,7 @@ func (ms *memSource) nextEntry() ([]byte, []byte, bool, bool) {
 func (s *Store) mergedSourceLocked(start []byte) (*mergeStream, error) {
 	srcs := make([]entryStream, 0, len(s.tables)+1)
 	for _, t := range s.tables {
-		it, err := t.iter(start)
-		if err != nil {
-			return nil, err
-		}
-		srcs = append(srcs, &tableStream{it: it, prio: int(t.seq)})
+		srcs = append(srcs, &tableStream{it: t.iter(start), prio: int(t.seq)})
 	}
 	srcs = append(srcs, &memStream{node: s.mem.seek(start)})
 	return newMergeStream(srcs)

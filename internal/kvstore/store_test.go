@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -399,6 +400,54 @@ func TestCorruptTableDetected(t *testing.T) {
 	}
 }
 
+// A table entry that fails to decode is an error from Scan and Compact,
+// not the end of the table: a merge that stopped there would return a
+// short result, and a compaction would write the survivors and delete
+// the corrupt table with everything after the bad entry.
+func TestCorruptEntrySurfaces(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < 2; gen++ {
+		for i := 0; i < 100; i++ {
+			s.Put([]byte(fmt.Sprintf("g%d-%03d", gen, i)), []byte("v"))
+		}
+		s.Flush()
+	}
+	s.Close()
+	// Each entry of the older table is 10 bytes; give the 50th a key
+	// length far past the end of the entry region.
+	paths, _ := filepath.Glob(filepath.Join(dir, "sst-*.sst"))
+	sort.Strings(paths)
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data[500:], []byte{0xff, 0xff, 0x7f})
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if s, err = Open(dir, Options{DisableAutoCompact: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Scan(nil, nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrBadTable) {
+		t.Fatalf("Scan over a corrupt entry = %v, want ErrBadTable", err)
+	}
+	if err := s.Compact(); !errors.Is(err, ErrBadTable) {
+		t.Fatalf("Compact over a corrupt entry = %v, want ErrBadTable", err)
+	}
+	if st := s.Stats(); st.Tables != 2 {
+		t.Fatalf("%d tables after a failed Compact, want both inputs kept", st.Tables)
+	}
+	if v, err := s.Get([]byte("g1-099")); err != nil || string(v) != "v" {
+		t.Fatalf("Get from the intact table = %q, %v", v, err)
+	}
+}
+
 func TestWALGrowsAndRotates(t *testing.T) {
 	s := openTest(t, Options{MemtableBytes: 4 << 10})
 	before := s.Stats().WALSize
@@ -594,5 +643,59 @@ func TestGetDoesNotAliasMemtable(t *testing.T) {
 	v2, _ := s.Get([]byte("k"))
 	if string(v2) != "abc" {
 		t.Fatal("Get returned aliased memory")
+	}
+}
+
+// TestReadsOutliveTheirTable pins that Get and Scan hand out copies.
+// Table reads alias a mapping that Compact and Close unmap, so a slice
+// leaked from it would fault or read garbage once its table is gone.
+func TestReadsOutliveTheirTable(t *testing.T) {
+	s := openTest(t, Options{DisableAutoCompact: true})
+	want := map[string]string{}
+	for gen := 0; gen < 2; gen++ {
+		for i := 0; i < 300; i++ {
+			k := fmt.Sprintf("key-%04d", 2*i+gen)
+			v := fmt.Sprintf("value-%d-%s", gen, bytes.Repeat([]byte("x"), i%40))
+			if err := s.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = v
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type read struct{ k, v []byte }
+	var reads []read
+	for _, k := range []string{"key-0000", "key-0301", "key-0599"} {
+		v, err := s.Get([]byte(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads = append(reads, read{[]byte(k), v})
+	}
+	// 600 keys span two scan chunks.
+	if err := s.Scan(nil, nil, func(k, v []byte) bool {
+		reads = append(reads, read{k, v})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(reads) - 3; got != len(want) {
+		t.Fatalf("scanned %d keys, want %d", got, len(want))
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Tables != 1 {
+		t.Fatalf("%d tables after Compact, want 1", st.Tables)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		if w, ok := want[string(r.k)]; !ok || string(r.v) != w {
+			t.Fatalf("read %q = %q after its table went, want %q", r.k, r.v, w)
+		}
 	}
 }
